@@ -12,7 +12,8 @@ The lemmas, identified here by the roman numerals I through V:
 Claims I through IV are spot-checked on sampled tuples. Claim V is checked
 constructively: bisection locates the weight, a closed-form expected-utility
 computation cross-checks it, and strict comparisons just above and below
-confirm uniqueness.
+confirm uniqueness. :func:`check_claim_v` runs that check on sampled
+triples.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .elicitation import _bisect
 from .errors import AlphaOutOfRange, PreconditionViolated
 from .jsonio import lottery_to_json, number_to_json
 from .lottery import Lottery, UtilityFunction, coerce_number, expected_utility, mix
-from .preference import Comparison, PreferenceOracle, UtilityOracle, compare
+from .preference import Comparison, PreferenceOracle, UtilityOracle, compare, strict_order
 
 CLAIM_IDS = ("I", "II", "III", "IV", "V")
 
@@ -263,4 +264,39 @@ def verify_claim_v(
         queries_used=oracle.query_count - start,
         witness=witness,
         details=details,
+    )
+
+
+def check_claim_v(
+    oracle: PreferenceOracle,
+    triples: Iterable[tuple[Lottery, Lottery, Lottery]],
+    tol=1e-9,
+    max_iter: int = 200,
+) -> ClaimReport:
+    """Run :func:`verify_claim_v` on each sampled triple once strictly ordered.
+
+    A triple with a tie counts as skipped. The first failing triple's
+    witness ends the run. ``queries_used`` covers the sorting queries too.
+    A :class:`PreconditionViolated` from the bisection (an intransitive
+    oracle) propagates.
+    """
+    start = oracle.query_count
+    trials = skipped = 0
+    witness = None
+    for triple in triples:
+        ordered = strict_order(oracle, *triple)
+        if ordered is None:
+            skipped += 1
+            continue
+        trials += 1
+        witness = verify_claim_v(oracle, *ordered, tol=tol, max_iter=max_iter).witness
+        if witness is not None:
+            break
+    return ClaimReport(
+        claim="V",
+        passed=witness is None,
+        trials=trials,
+        skipped=skipped,
+        queries_used=oracle.query_count - start,
+        witness=witness,
     )

@@ -2,9 +2,9 @@
 
 Every command writes one JSON report to stdout and diagnostics to stderr.
 Exit codes: 0 when the command's verdict passes, 1 when a check fails (the
-report carries the witness), 2 on unusable input or bad usage. All
-randomness flows from ``--seed``, so a fixed (command, options, seed)
-triple reproduces its report byte for byte.
+report carries the witness), 2 on unusable input, bad usage or a failing
+external comparator. All randomness flows from ``--seed``, so a fixed
+(command, options, seed) triple reproduces its report byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import sampling
-from .claims import verify_claim_v, verify_claims_i_to_iv
+from .claims import check_claim_v, verify_claims_i_to_iv
 from .dataset import (
     dataset_from_json,
     fit_reward_model,
@@ -25,18 +25,13 @@ from .dataset import (
     validate_dataset,
 )
 from .elicitation import elicit_utility, verify_representation
-from .errors import PreconditionViolated, SearchExhausted, VNMError
-from .jsonio import (
-    lottery_to_json,
-    number_to_json,
-    space_from_json,
-    utility_from_json,
-    utility_to_json,
-)
+from .errors import OracleFailure, VNMError
+from .jsonio import number_to_json, space_from_json, utility_from_json
 from .lottery import (
     RATIONAL,
     FLOAT,
     OutcomeSpace,
+    coerce_number,
     expected_utility,
     mix,
     new_lottery,
@@ -47,6 +42,7 @@ from .preference import (
     Comparison,
     UtilityOracle,
     check_classical_independence,
+    check_continuity,
     check_independence,
     check_order_axioms,
     compare,
@@ -59,14 +55,17 @@ class CliInputError(Exception):
     """Unusable input: maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, decode, **options):
+    """Read a JSON file and decode it; any failure is unusable input naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"cannot parse {path}: {exc}") from exc
+    try:
+        return decode(payload, **options)
+    except (ValueError, VNMError) as exc:
+        raise CliInputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _emit(report: dict) -> None:
@@ -82,274 +81,117 @@ def _error_report(command: str, exc: VNMError) -> dict:
     witness = getattr(exc, "witness", None)
     if witness is not None:
         report["error"]["witness"] = [str(w) for w in witness]
+    worst = getattr(exc, "worst", None)
+    if worst is not None:
+        report["error"]["worst"] = worst
     return report
 
 
-def _make_oracle(args, command: str):
+def _make_oracle(args):
     """Build the oracle named by --oracle-utility or --oracle-cmd."""
-    if getattr(args, "oracle_utility", None) and getattr(args, "oracle_cmd", None):
+    if args.oracle_utility and args.oracle_cmd:
         raise CliInputError("give either --oracle-utility or --oracle-cmd, not both")
-    if getattr(args, "oracle_utility", None):
-        payload = _load_json(args.oracle_utility)
-        try:
-            utility = utility_from_json(payload, mode=args.mode)
-        except (ValueError, VNMError) as exc:
-            raise CliInputError(f"bad utility in {args.oracle_utility}: {exc}") from exc
+    if args.oracle_utility:
+        utility = _load(args.oracle_utility, "utility", utility_from_json, mode=args.mode)
         return UtilityOracle(utility), utility.space
-    if getattr(args, "oracle_cmd", None):
-        if not getattr(args, "space", None):
+    if args.oracle_cmd:
+        if not args.space:
             raise CliInputError("--oracle-cmd needs --space with the outcome labels")
-        payload = _load_json(args.space)
-        try:
-            space = space_from_json(payload, args.mode)
-        except ValueError as exc:
-            raise CliInputError(f"bad space in {args.space}: {exc}") from exc
+        space = _load(args.space, "space", space_from_json, mode=args.mode)
         return SubprocessOracle(space, args.oracle_cmd), space
-    raise CliInputError(f"{command} needs --oracle-utility or --oracle-cmd")
-
-
-def _close_oracle(oracle) -> None:
-    close = getattr(oracle, "close", None)
-    if close is not None:
-        close()
+    raise CliInputError(f"{args.command} needs --oracle-utility or --oracle-cmd")
 
 
 def _run_options(args, keys) -> dict:
     return {k: getattr(args, k.replace("-", "_")) for k in keys}
 
 
-def cmd_elicit(args) -> int:
-    oracle, space = _make_oracle(args, "elicit")
-    try:
-        result = elicit_utility(oracle, space, tol=args.tol, max_iter=args.max_iter)
-    except VNMError as exc:
-        _emit(_error_report("elicit", exc))
-        return 1
-    finally:
-        _close_oracle(oracle)
+def _checks_report(args, keys, reports) -> tuple[dict, bool]:
+    passed = all(r.passed for r in reports)
+    return {
+        "command": args.command,
+        "options": _run_options(args, keys),
+        "passed": passed,
+        "reports": [r.to_json() for r in reports],
+    }, passed
+
+
+def cmd_elicit(args, oracle, space):
+    result = elicit_utility(oracle, space, tol=args.tol, max_iter=args.max_iter)
     report = {"command": "elicit", "options": _run_options(args, ("tol", "max-iter", "mode"))}
     report.update(result.to_json())
-    _emit(report)
     for label, value in zip(space.labels, result.utility.values):
         bar = "#" * int(round(float(value) * 40))
         print(f"{label:>16} {float(value):10.6f} |{bar}", file=sys.stderr)
-    return 0
+    return report, True
 
 
-def cmd_check_axioms(args) -> int:
-    oracle, space = _make_oracle(args, "check-axioms")
+def cmd_check_axioms(args, oracle, space):
     rng = random.Random(args.seed)
-    try:
-        triples = sampling.random_triples(space, rng, args.sample)
-        order = check_order_axioms(oracle, triples)
-        tuples = sampling.random_mix_tuples(space, rng, args.sample)
-        independence = check_independence(oracle, tuples)
-        tuples = sampling.random_mix_tuples(space, rng, args.sample)
-        classical = check_classical_independence(oracle, tuples)
-
-        # continuity: witness searches on strictly sandwiched sampled triples
-        attempted = succeeded = skipped = 0
-        continuity_witness = None
-        for p, q, r in sampling.random_triples(space, rng, args.sample):
-            top, mid_, bot = _strict_sandwich(oracle, p, q, r)
-            if top is None:
-                skipped += 1
-                continue
-            attempted += 1
-            try:
-                alpha, beta = probe_continuity(oracle, top, mid_, bot)
-                succeeded += 1
-            except PreconditionViolated:
-                # the sandwich sort assumed transitivity; an intransitive
-                # oracle can fail the p-over-r recheck, which the order
-                # report already covers
-                attempted -= 1
-                skipped += 1
-            except SearchExhausted as exc:
-                continuity_witness = {
-                    "p": lottery_to_json(top),
-                    "q": lottery_to_json(mid_),
-                    "r": lottery_to_json(bot),
-                    "detail": str(exc),
-                }
-                break
-        continuity = {
-            "axiom": "continuity",
-            "passed": continuity_witness is None,
-            "note": "witness search on sampled strict triples, not a proof",
-            "attempted": attempted,
-            "succeeded": succeeded,
-            "skipped_not_strict": skipped,
-            "witness": continuity_witness,
-        }
-    except VNMError as exc:
-        _emit(_error_report("check-axioms", exc))
-        return 1
-    finally:
-        _close_oracle(oracle)
-
-    reports = [order.to_json(), independence.to_json(), classical.to_json(), continuity]
-    passed = all(r["passed"] for r in reports)
-    _emit(
-        {
-            "command": "check-axioms",
-            "options": _run_options(args, ("sample", "seed", "mode")),
-            "passed": passed,
-            "reports": reports,
-        }
-    )
-    return 0 if passed else 1
+    reports = [
+        check_order_axioms(oracle, sampling.random_triples(space, rng, args.sample)),
+        check_independence(oracle, sampling.random_mix_tuples(space, rng, args.sample)),
+        check_classical_independence(oracle, sampling.random_mix_tuples(space, rng, args.sample)),
+        check_continuity(oracle, sampling.random_triples(space, rng, args.sample)),
+    ]
+    return _checks_report(args, ("sample", "seed", "mode"), reports)
 
 
-def _strict_sandwich(oracle, p, q, r):
-    """Order a triple strictly best to worst, or (None, None, None) if any tie."""
-    lots = [p, q, r]
-    for i in range(1, 3):
-        for j in range(i, 0, -1):
-            c = compare(oracle, lots[j - 1], lots[j])
-            if c is Comparison.INDIFFERENT:
-                return None, None, None
-            if c is Comparison.PREFER_SECOND:
-                lots[j - 1], lots[j] = lots[j], lots[j - 1]
-    return lots[0], lots[1], lots[2]
-
-
-def cmd_check_claims(args) -> int:
-    oracle, space = _make_oracle(args, "check-claims")
+def cmd_check_claims(args, oracle, space):
     rng = random.Random(args.seed)
-    try:
-        tuples = sampling.random_claim_tuples(space, rng, args.sample)
-        reports = verify_claims_i_to_iv(oracle, tuples)
-
-        v_trials = v_skipped = 0
-        v_witness = None
-        v_queries = 0
-        for p, q, r in sampling.random_triples(space, rng, args.sample):
-            top, mid_, bot = _strict_sandwich(oracle, p, q, r)
-            if top is None:
-                v_skipped += 1
-                continue
-            v_trials += 1
-            report = verify_claim_v(oracle, top, mid_, bot, tol=args.tol, max_iter=args.max_iter)
-            v_queries += report.queries_used
-            if not report.passed:
-                v_witness = report.witness
-                break
-        claim_v = {
-            "claim": "V",
-            "passed": v_witness is None,
-            "trials": v_trials,
-            "skipped": v_skipped,
-            "queries_used": v_queries,
-            "witness": v_witness,
-        }
-    except VNMError as exc:
-        _emit(_error_report("check-claims", exc))
-        return 1
-    finally:
-        _close_oracle(oracle)
-
-    out = [r.to_json() for r in reports] + [claim_v]
-    passed = all(r["passed"] for r in out)
-    _emit(
-        {
-            "command": "check-claims",
-            "options": _run_options(args, ("sample", "seed", "tol", "mode")),
-            "passed": passed,
-            "reports": out,
-        }
-    )
-    return 0 if passed else 1
+    reports = verify_claims_i_to_iv(oracle, sampling.random_claim_tuples(space, rng, args.sample))
+    triples = sampling.random_triples(space, rng, args.sample)
+    reports.append(check_claim_v(oracle, triples, tol=args.tol, max_iter=args.max_iter))
+    return _checks_report(args, ("sample", "seed", "tol", "mode"), reports)
 
 
-def cmd_verify_representation(args) -> int:
-    oracle, space = _make_oracle(args, "verify-representation")
-    payload = _load_json(args.utility)
-    try:
-        utility = utility_from_json(payload, space=space, mode=args.mode)
-    except (ValueError, VNMError) as exc:
-        _close_oracle(oracle)
-        raise CliInputError(f"bad utility in {args.utility}: {exc}") from exc
+def cmd_verify_representation(args, oracle, space):
+    utility = _load(args.utility, "utility", utility_from_json, space=space, mode=args.mode)
     rng = random.Random(args.seed)
-    try:
-        pairs = [
-            (sampling.random_lottery(space, rng), sampling.random_lottery(space, rng))
-            for _ in range(args.sample)
-        ]
-        report = verify_representation(oracle, utility, pairs, tol=args.tol)
-    except VNMError as exc:
-        _emit(_error_report("verify-representation", exc))
-        return 1
-    finally:
-        _close_oracle(oracle)
-    _emit(
-        {
-            "command": "verify-representation",
-            "options": _run_options(args, ("sample", "seed", "tol", "mode")),
-            "passed": report.passed,
-            "report": report.to_json(),
-        }
-    )
-    return 0 if report.passed else 1
+    pairs = [
+        (sampling.random_lottery(space, rng), sampling.random_lottery(space, rng))
+        for _ in range(args.sample)
+    ]
+    report = verify_representation(oracle, utility, pairs, tol=args.tol)
+    return {
+        "command": "verify-representation",
+        "options": _run_options(args, ("sample", "seed", "tol", "mode")),
+        "passed": report.passed,
+        "report": report.to_json(),
+    }, report.passed
 
 
-def cmd_recover_affine(args) -> int:
-    u_payload = _load_json(args.u)
-    v_payload = _load_json(args.v)
-    try:
-        u = utility_from_json(u_payload, mode=args.mode)
-        v = utility_from_json(v_payload, space=u.space, mode=args.mode)
-    except (ValueError, VNMError) as exc:
-        raise CliInputError(f"bad utility input: {exc}") from exc
-    try:
-        transform = recover_affine(u, v, tol=args.tol)
-    except VNMError as exc:
-        _emit(_error_report("recover-affine", exc))
-        return 1
+def cmd_recover_affine(args):
+    u = _load(args.u, "utility", utility_from_json, mode=args.mode)
+    v = _load(args.v, "utility", utility_from_json, space=u.space, mode=args.mode)
+    transform = recover_affine(u, v, tol=args.tol)
     check = verify_affine(u, v, transform, tol=args.tol)
-    _emit(
-        {
-            "command": "recover-affine",
-            "alpha": number_to_json(transform.alpha),
-            "beta": number_to_json(transform.beta),
-            "max_residual": number_to_json(check.max_residual),
-            "passed": check.passed,
-        }
-    )
-    return 0 if check.passed else 1
+    return {
+        "command": "recover-affine",
+        "alpha": number_to_json(transform.alpha),
+        "beta": number_to_json(transform.beta),
+        "max_residual": number_to_json(check.max_residual),
+        "passed": check.passed,
+    }, check.passed
 
 
-def cmd_validate_dataset(args) -> int:
-    payload = _load_json(args.dataset)
-    try:
-        dataset = dataset_from_json(payload, mode=args.mode)
-    except (ValueError, VNMError) as exc:
-        raise CliInputError(f"bad dataset in {args.dataset}: {exc}") from exc
-    report = validate_dataset(dataset)
-    _emit({"command": "validate-dataset", "report": report.to_json()})
-    return 0 if report.consistent else 1
+def cmd_validate_dataset(args):
+    report = validate_dataset(_load(args.dataset, "dataset", dataset_from_json, mode=args.mode))
+    return {"command": "validate-dataset", "report": report.to_json()}, report.consistent
 
 
-def cmd_fit_model(args) -> int:
-    payload = _load_json(args.dataset)
-    try:
-        dataset = dataset_from_json(payload, mode=args.mode)
-    except (ValueError, VNMError) as exc:
-        raise CliInputError(f"bad dataset in {args.dataset}: {exc}") from exc
-    try:
-        model = fit_reward_model(dataset, margin=args.margin, max_epochs=args.max_epochs)
-    except VNMError as exc:
-        _emit(_error_report("fit-model", exc))
-        return 1
-    check = model_fits_data(model, dataset, margin=args.margin)
+def cmd_fit_model(args):
+    dataset = _load(args.dataset, "dataset", dataset_from_json, mode=args.mode)
+    margin = coerce_number(args.margin, args.mode)
+    model = fit_reward_model(dataset, margin=margin, max_epochs=args.max_epochs)
+    check = model_fits_data(model, dataset, margin=margin)
     report = {"command": "fit-model", "options": _run_options(args, ("margin", "mode"))}
     report.update(model_to_json(model))
     report["fits"] = check.passed
-    _emit(report)
-    return 0 if check.passed else 1
+    return report, check.passed
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args):
     """Replay the worked examples with exact arithmetic and check each one."""
     checks = []
 
@@ -422,8 +264,7 @@ def cmd_demo(args) -> int:
     )
 
     passed = all(c["passed"] for c in checks)
-    _emit({"command": "demo", "passed": passed, "checks": checks})
-    return 0 if passed else 1
+    return {"command": "demo", "passed": passed, "checks": checks}, passed
 
 
 def _add_oracle_flags(sub) -> None:
@@ -500,13 +341,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print its report and return the exit code.
+
+    Commands with oracle flags get the oracle built here and closed here
+    whatever happens. Unusable input and a failing external comparator exit
+    2 with a diagnostic on stderr; any other domain error becomes the
+    command's report with exit 1.
+    """
+    args = build_parser().parse_args(argv)
+    oracle = None
     try:
-        return args.func(args)
-    except CliInputError as exc:
+        if hasattr(args, "oracle_cmd"):
+            oracle, space = _make_oracle(args)
+            report, passed = args.func(args, oracle, space)
+        else:
+            report, passed = args.func(args)
+    except (CliInputError, OracleFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VNMError as exc:
+        report, passed = _error_report(args.command, exc), False
+    finally:
+        if isinstance(oracle, SubprocessOracle):
+            oracle.close()
+    _emit(report)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

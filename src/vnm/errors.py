@@ -30,6 +30,15 @@ class NegativeProbability(VNMError):
         super().__init__(f"probability at index {index} is negative: {value}")
 
 
+class NonFiniteProbability(VNMError):
+    """A probability entry is NaN or infinite."""
+
+    def __init__(self, index: int, value):
+        self.index = index
+        self.value = value
+        super().__init__(f"probability at index {index} is not finite: {value}")
+
+
 class SumNotOne(VNMError):
     """Probabilities do not sum to one (within the mode's tolerance)."""
 
@@ -78,6 +87,10 @@ class IncompleteOracle(VNMError):
         self.p = p
         self.q = q
         super().__init__("oracle prefers neither lottery; completeness violated")
+
+
+class OracleFailure(VNMError):
+    """An external comparator could not be started or gave no usable answer."""
 
 
 class BudgetExhausted(VNMError):

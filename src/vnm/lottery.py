@@ -24,6 +24,7 @@ from .errors import (
     AlphaOutOfRange,
     LengthMismatch,
     NegativeProbability,
+    NonFiniteProbability,
     NonFiniteUtility,
     SpaceMismatch,
     SumNotOne,
@@ -109,8 +110,8 @@ class Lottery:
     """A probability distribution over an outcome space.
 
     Invariants, checked at construction: one probability per outcome, every
-    entry nonnegative, entries summing to one (exactly in rational mode,
-    within ``FLOAT_SUM_TOL`` in float mode).
+    entry finite and nonnegative, entries summing to one (exactly in
+    rational mode, within ``FLOAT_SUM_TOL`` in float mode).
     """
 
     space: OutcomeSpace
@@ -120,14 +121,18 @@ class Lottery:
         object.__setattr__(self, "probs", tuple(self.probs))
         if len(self.probs) != self.space.size:
             raise LengthMismatch(self.space.size, len(self.probs))
+        # negated comparisons so NaN fails them without a per-entry isfinite
         for i, v in enumerate(self.probs):
-            if v < 0:
-                raise NegativeProbability(i, v)
+            if not v >= 0:
+                raise (NegativeProbability if v < 0 else NonFiniteProbability)(i, v)
         total = sum(self.probs)
         if self.space.exact:
             if total != 1:
                 raise SumNotOne(total)
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
+        elif not abs(total - 1.0) <= FLOAT_SUM_TOL:
+            for i, v in enumerate(self.probs):
+                if math.isinf(v):
+                    raise NonFiniteProbability(i, v)
             raise SumNotOne(total)
 
     def prob(self, label: str) -> Numeric:

@@ -9,11 +9,13 @@ exercising the axiom checkers.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shlex
 import subprocess
 from typing import Callable, Optional
 
+from .errors import OracleFailure
 from .jsonio import lottery_to_json
 from .lottery import Lottery, UtilityFunction
 from .preference import PreferenceOracle
@@ -75,19 +77,27 @@ class SubprocessOracle(PreferenceOracle):
     The child reads one JSON object per line, ``{"p": lottery, "q":
     lottery}``, and must answer with one JSON line ``{"pref": true}`` or
     ``{"pref": false}``. The process is started once and kept alive for the
-    whole session; it is expected to answer deterministically.
+    whole session; it is expected to answer deterministically. A child that
+    cannot be started, closes its output or replies with anything else
+    raises :class:`OracleFailure`.
     """
 
     def __init__(self, space, command: str, query_budget: Optional[int] = None):
         super().__init__(space, query_budget=query_budget)
         self.command = command
-        self._proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            argv = shlex.split(command)
+            if not argv:
+                raise ValueError("empty command")
+            self._proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except (OSError, ValueError) as exc:
+            raise OracleFailure(f"cannot start oracle subprocess {command!r}: {exc}") from exc
 
     def _answer(self, p: Lottery, q: Lottery) -> bool:
         request = json.dumps({"p": lottery_to_json(p), "q": lottery_to_json(q)})
@@ -95,18 +105,23 @@ class SubprocessOracle(PreferenceOracle):
             self._proc.stdin.write(request + "\n")
             self._proc.stdin.flush()
             line = self._proc.stdout.readline()
-        except (BrokenPipeError, ValueError) as exc:
-            raise RuntimeError(f"oracle subprocess {self.command!r} is not responding") from exc
+        except (OSError, ValueError) as exc:
+            raise OracleFailure(f"oracle subprocess {self.command!r} is not responding") from exc
         if not line:
-            raise RuntimeError(f"oracle subprocess {self.command!r} closed its output")
-        reply = json.loads(line)
+            raise OracleFailure(f"oracle subprocess {self.command!r} closed its output")
+        try:
+            reply = json.loads(line)
+        except ValueError:
+            reply = None
         if not isinstance(reply, dict) or not isinstance(reply.get("pref"), bool):
-            raise RuntimeError(f'oracle subprocess reply must be {{"pref": bool}}, got {line!r}')
+            raise OracleFailure(f'oracle subprocess reply must be {{"pref": bool}}, got {line!r}')
         return reply["pref"]
 
     def close(self) -> None:
         if self._proc.poll() is None:
-            self._proc.stdin.close()
+            # a request left unsent by a broken pipe would fail again here
+            with contextlib.suppress(OSError):
+                self._proc.stdin.close()
             self._proc.wait(timeout=10)
 
     def __enter__(self):

@@ -12,6 +12,8 @@ module is built from that single primitive:
 * :func:`probe_continuity` searches for the two mixture witnesses that the
   continuity axiom promises. Finding them certifies the sampled instance
   only; this is a witness search, not a proof of the axiom.
+  :func:`check_continuity` runs it on sampled triples after
+  :func:`strict_order` sorts each one.
 
 Checks never prove an axiom. A passing report means no counterexample was
 found in the given sample.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AlphaOutOfRange,
@@ -172,10 +174,32 @@ class AxiomReport:
         return out
 
 
-def _pair_witness(kind: str, entries: dict) -> dict:
-    w = {"kind": kind}
-    w.update(entries)
-    return w
+def _first_violation(
+    axiom: str,
+    oracle: PreferenceOracle,
+    instances: Iterable[tuple],
+    test: Callable[..., Optional[dict]],
+) -> AxiomReport:
+    """Run ``test(*instance)`` until it returns a witness dict; None means it held.
+
+    ``checked`` counts instances tested, the violating one included, and
+    ``queries_used`` is the oracle's query count across the whole run.
+    """
+    start = oracle.query_count
+    checked = 0
+    witness = None
+    for instance in instances:
+        checked += 1
+        witness = test(*instance)
+        if witness is not None:
+            break
+    return AxiomReport(
+        axiom=axiom,
+        passed=witness is None,
+        checked=checked,
+        queries_used=oracle.query_count - start,
+        witness=witness,
+    )
 
 
 def check_order_axioms(
@@ -188,59 +212,37 @@ def check_order_axioms(
     (completeness), and every chain ``a >= b >= c`` must close with
     ``a >= c`` (transitivity). The first violation becomes the witness.
     """
-    start = oracle.query_count
-    checked = 0
-    for p, q, r in triples:
-        checked += 1
-        lots = (p, q, r)
+    names = ("p", "q", "r")
+
+    def test(*lots):
         table = {}
         for i in range(3):
             for j in range(3):
                 if i != j:
                     table[(i, j)] = oracle.pref(lots[i], lots[j])
-        names = ("p", "q", "r")
         for i in range(3):
             for j in range(i + 1, 3):
                 if not table[(i, j)] and not table[(j, i)]:
-                    return AxiomReport(
-                        axiom="order",
-                        passed=False,
-                        checked=checked,
-                        queries_used=oracle.query_count - start,
-                        witness=_pair_witness(
-                            "completeness",
-                            {
-                                "first": lottery_to_json(lots[i]),
-                                "second": lottery_to_json(lots[j]),
-                                "roles": [names[i], names[j]],
-                            },
-                        ),
-                    )
+                    return {
+                        "kind": "completeness",
+                        "first": lottery_to_json(lots[i]),
+                        "second": lottery_to_json(lots[j]),
+                        "roles": [names[i], names[j]],
+                    }
         for i in range(3):
             for j in range(3):
                 for k in range(3):
                     if len({i, j, k}) == 3 and table[(i, j)] and table[(j, k)] and not table[(i, k)]:
-                        return AxiomReport(
-                            axiom="order",
-                            passed=False,
-                            checked=checked,
-                            queries_used=oracle.query_count - start,
-                            witness=_pair_witness(
-                                "transitivity",
-                                {
-                                    "first": lottery_to_json(lots[i]),
-                                    "second": lottery_to_json(lots[j]),
-                                    "third": lottery_to_json(lots[k]),
-                                    "roles": [names[i], names[j], names[k]],
-                                },
-                            ),
-                        )
-    return AxiomReport(
-        axiom="order",
-        passed=True,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-    )
+                        return {
+                            "kind": "transitivity",
+                            "first": lottery_to_json(lots[i]),
+                            "second": lottery_to_json(lots[j]),
+                            "third": lottery_to_json(lots[k]),
+                            "roles": [names[i], names[j], names[k]],
+                        }
+        return None
+
+    return _first_violation("order", oracle, triples, test)
 
 
 def _require_mixing_weight(alpha) -> None:
@@ -259,37 +261,24 @@ def check_independence(
     ``mix(p, r, alpha)`` and ``mix(q, r, alpha)``: strict preference stays
     strict in the same direction, indifference stays indifference.
     """
-    start = oracle.query_count
-    checked = 0
-    for p, q, r, alpha in tuples:
-        checked += 1
+
+    def test(p, q, r, alpha):
         _require_mixing_weight(alpha)
         base = compare(oracle, p, q)
         mixed = compare(oracle, mix(p, r, alpha), mix(q, r, alpha))
-        if mixed is not base:
-            return AxiomReport(
-                axiom="independence",
-                passed=False,
-                checked=checked,
-                queries_used=oracle.query_count - start,
-                witness=_pair_witness(
-                    "independence",
-                    {
-                        "p": lottery_to_json(p),
-                        "q": lottery_to_json(q),
-                        "r": lottery_to_json(r),
-                        "alpha": number_to_json(alpha),
-                        "base_comparison": base.value,
-                        "mixed_comparison": mixed.value,
-                    },
-                ),
-            )
-    return AxiomReport(
-        axiom="independence",
-        passed=True,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-    )
+        if mixed is base:
+            return None
+        return {
+            "kind": "independence",
+            "p": lottery_to_json(p),
+            "q": lottery_to_json(q),
+            "r": lottery_to_json(r),
+            "alpha": number_to_json(alpha),
+            "base_comparison": base.value,
+            "mixed_comparison": mixed.value,
+        }
+
+    return _first_violation("independence", oracle, tuples, test)
 
 
 def check_classical_independence(
@@ -301,10 +290,8 @@ def check_classical_independence(
     Both directions of the equivalence are asserted, for both query
     orientations, so four raw queries per tuple.
     """
-    start = oracle.query_count
-    checked = 0
-    for p, q, r, alpha in tuples:
-        checked += 1
+
+    def test(p, q, r, alpha):
         _require_mixing_weight(alpha)
         mp = mix(p, r, alpha)
         mq = mix(q, r, alpha)
@@ -312,32 +299,21 @@ def check_classical_independence(
         forward_mixed = oracle.pref(mp, mq)
         backward = oracle.pref(q, p)
         backward_mixed = oracle.pref(mq, mp)
-        if forward != forward_mixed or backward != backward_mixed:
-            return AxiomReport(
-                axiom="classical_independence",
-                passed=False,
-                checked=checked,
-                queries_used=oracle.query_count - start,
-                witness=_pair_witness(
-                    "classical_independence",
-                    {
-                        "p": lottery_to_json(p),
-                        "q": lottery_to_json(q),
-                        "r": lottery_to_json(r),
-                        "alpha": number_to_json(alpha),
-                        "pref_p_q": forward,
-                        "pref_mixed_p_q": forward_mixed,
-                        "pref_q_p": backward,
-                        "pref_mixed_q_p": backward_mixed,
-                    },
-                ),
-            )
-    return AxiomReport(
-        axiom="classical_independence",
-        passed=True,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-    )
+        if forward == forward_mixed and backward == backward_mixed:
+            return None
+        return {
+            "kind": "classical_independence",
+            "p": lottery_to_json(p),
+            "q": lottery_to_json(q),
+            "r": lottery_to_json(r),
+            "alpha": number_to_json(alpha),
+            "pref_p_q": forward,
+            "pref_mixed_p_q": forward_mixed,
+            "pref_q_p": backward,
+            "pref_mixed_q_p": backward_mixed,
+        }
+
+    return _first_violation("classical_independence", oracle, tuples, test)
 
 
 def _upper_grid(space: OutcomeSpace, max_probes: int):
@@ -406,3 +382,69 @@ def probe_continuity(
     if compare(oracle, q, mix(p, r, beta)) is not Comparison.PREFER_FIRST:
         raise SearchExhausted(max_probes, "lower witness did not replay")
     return alpha, beta
+
+
+def strict_order(oracle: PreferenceOracle, p: Lottery, q: Lottery, r: Lottery):
+    """Sort a triple strictly best to worst, or return None if any comparison ties.
+
+    An insertion sort of two or three comparisons; it assumes transitivity,
+    so for an intransitive oracle the first and last need not compare
+    strictly. :func:`probe_continuity` re-checks that pair.
+    """
+    lots = [p, q, r]
+    for i in range(1, 3):
+        for j in range(i, 0, -1):
+            c = compare(oracle, lots[j - 1], lots[j])
+            if c is Comparison.INDIFFERENT:
+                return None
+            if c is Comparison.PREFER_SECOND:
+                lots[j - 1], lots[j] = lots[j], lots[j - 1]
+    return lots[0], lots[1], lots[2]
+
+
+def check_continuity(
+    oracle: PreferenceOracle,
+    triples: Iterable[tuple[Lottery, Lottery, Lottery]],
+    max_probes: int = 64,
+) -> AxiomReport:
+    """Run :func:`probe_continuity` on each sampled triple once strictly ordered.
+
+    Triples with a tie, and triples whose best does not strictly beat their
+    worst (possible only for an intransitive oracle, which
+    :func:`check_order_axioms` reports), count in
+    ``details["skipped_not_strict"]`` and not in ``checked``. The first
+    triple whose probe raises :class:`SearchExhausted` is the witness.
+    """
+    start = oracle.query_count
+    checked = skipped = 0
+    witness = None
+    for triple in triples:
+        ordered = strict_order(oracle, *triple)
+        if ordered is None:
+            skipped += 1
+            continue
+        try:
+            probe_continuity(oracle, *ordered, max_probes=max_probes)
+        except PreconditionViolated:
+            skipped += 1
+            continue
+        except SearchExhausted as exc:
+            top, middle, bottom = ordered
+            witness = {
+                "p": lottery_to_json(top),
+                "q": lottery_to_json(middle),
+                "r": lottery_to_json(bottom),
+                "detail": str(exc),
+            }
+        checked += 1
+        if witness is not None:
+            break
+    return AxiomReport(
+        axiom="continuity",
+        passed=witness is None,
+        checked=checked,
+        queries_used=oracle.query_count - start,
+        witness=witness,
+        note="witness search on sampled strict triples, not a proof",
+        details={"skipped_not_strict": skipped},
+    )

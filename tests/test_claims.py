@@ -15,6 +15,7 @@ from vnm import (
     RankDependentOracle,
     UtilityOracle,
     analytic_indifference_alpha,
+    check_claim_v,
     degenerate,
     expected_utility,
     new_lottery,
@@ -191,3 +192,34 @@ class TestClaimV:
         d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
         with pytest.raises(PreconditionViolated):
             verify_claim_v(o, d3, d2, d1)
+
+
+class TestClaimVCheck:
+    def test_sorts_skips_ties_and_counts_every_query(self):
+        o = UtilityOracle(U3)
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        report = check_claim_v(o, [(d3, d1, d2), (d2, d2, d1)])
+        assert report.passed
+        assert (report.trials, report.skipped) == (1, 1)
+        single = verify_claim_v(UtilityOracle(U3), d1, d2, d3)
+        assert report.queries_used == o.query_count > single.queries_used
+
+    def test_first_failing_triple_is_the_witness(self):
+        def plateau(p, q):
+            return math.floor(4 * float(expected_utility(p, U3))) >= math.floor(
+                4 * float(expected_utility(q, U3))
+            )
+
+        o = PreferenceOracle(SPACE3, pref_fn=plateau)
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        report = check_claim_v(o, [(d1, d2, d3), (d1, d2, d3)])
+        assert not report.passed
+        assert report.trials == 1
+        assert report.witness == verify_claim_v(o, d1, d2, d3).witness
+
+    def test_bisection_precondition_propagates(self):
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        beats = {(d1.probs, d2.probs), (d2.probs, d3.probs), (d3.probs, d1.probs)}
+        o = PreferenceOracle(SPACE3, pref_fn=lambda p, q: (q.probs, p.probs) not in beats)
+        with pytest.raises(PreconditionViolated):
+            check_claim_v(o, [(d1, d2, d3)])

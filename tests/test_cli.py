@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
+
+from vnm import (
+    UtilityOracle,
+    check_claim_v,
+    check_classical_independence,
+    check_continuity,
+    check_independence,
+    check_order_axioms,
+    sampling,
+    verify_claims_i_to_iv,
+)
+from vnm.cli import main
+from vnm.jsonio import utility_from_json
 
 CITY_U = {"space": ["Paris", "Rome", "village"], "utility": {"Paris": "1", "Rome": "7/10", "village": "0"}}
 CITY_V = {"space": ["Paris", "Rome", "village"], "utility": {"Paris": "3", "Rome": "21/10", "village": "0"}}
@@ -63,6 +77,12 @@ def run_cli(*args):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def ab_dataset(*pairs):
+    """A dataset over outcomes a and b from (winner probs, loser probs) pairs."""
+    lot = lambda probs: {"space": ["a", "b"], "probs": list(probs)}
+    return {"space": ["a", "b"], "pairs": [{"winner": lot(w), "loser": lot(l)} for w, l in pairs]}
 
 
 @pytest.fixture
@@ -292,6 +312,25 @@ class TestDatasets:
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"]["type"] == "PreconditionViolated"
 
+    def test_infeasible_fit_reports_worst_shortfalls(self, tmp_path):
+        # a 50/50 mixture recorded above its own best outcome
+        payload = ab_dataset((("1", "0"), ("0", "1")), (("1/2", "1/2"), ("1", "0")))
+        path = write_json(tmp_path / "mid.json", payload)
+        result = run_cli("fit-model", path, "--max-epochs", "60")
+        assert result.returncode == 1
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "Infeasible"
+        assert {w["index"] for w in error["worst"]} == {0, 1}
+
+    def test_margin_is_exact_in_rational_mode(self, tmp_path):
+        # the EU gap is exactly 1/10, so a margin of 0.1 is met only if read as 1/10
+        payload = ab_dataset((("1/10", "9/10"), ("0", "1")))
+        result = run_cli("fit-model", write_json(tmp_path / "gap.json", payload), "--margin", "0.1")
+        assert result.returncode == 0
+        report = json.loads(result.stdout)
+        assert report["fits"] is True
+        assert report["options"]["margin"] == 0.1
+
 
 class TestBadInput:
     def test_missing_file_names_path(self):
@@ -302,6 +341,13 @@ class TestBadInput:
     def test_invalid_json_named(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        result = run_cli("validate-dataset", str(bad))
+        assert result.returncode == 2
+        assert str(bad) in result.stderr
+
+    def test_undecodable_file_named(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff\xfe{}")
         result = run_cli("validate-dataset", str(bad))
         assert result.returncode == 2
         assert str(bad) in result.stderr
@@ -323,3 +369,70 @@ class TestBadInput:
 
     def test_no_command_is_usage_error(self):
         assert run_cli().returncode == 2
+
+    def test_nan_probability_rejected_in_float_mode(self, tmp_path):
+        path = write_json(tmp_path / "nan.json", ab_dataset(((float("nan"), 1.0), (0, 1))))
+        result = run_cli("validate-dataset", path, "--mode", "float")
+        assert result.returncode == 2
+        assert "not finite" in result.stderr
+
+
+BAD_COMMANDS = {
+    "missing_executable": "/nonexistent/comparator",
+    "unbalanced_quote": '"unclosed',
+    "blank_command": " ",
+}
+
+BAD_COMPARATORS = {
+    "closed_output": "pass\n",
+    "broken_pipe": (
+        "import os, sys, time\n"
+        "sys.stdin.readline()\n"
+        "os.close(0)\n"
+        "print('{\"pref\": true}', flush=True)\n"
+        "time.sleep(1)\n"
+    ),
+    "not_json": "import sys\nfor line in sys.stdin:\n    print('hello', flush=True)\n",
+    "missing_pref": "import sys\nfor line in sys.stdin:\n    print('{}', flush=True)\n",
+    "non_bool_pref": "import sys\nfor line in sys.stdin:\n    print('{\"pref\": 1}', flush=True)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMMANDS) + sorted(BAD_COMPARATORS))
+def test_comparator_failure_is_exit_two_without_traceback(case, tmp_path, city_files):
+    if case in BAD_COMMANDS:
+        command = BAD_COMMANDS[case]
+    else:
+        script = tmp_path / "comparator.py"
+        script.write_text(BAD_COMPARATORS[case])
+        command = f"{sys.executable} {script}"
+    result = run_cli("elicit", "--oracle-cmd", command, "--space", city_files["space"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_cli_reports_equal_library_reports(seed, city_files, capsys):
+    def cli_reports(command):
+        argv = [command, "--oracle-utility", city_files["u"], "--sample", "15", "--seed", str(seed)]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["reports"]
+
+    utility = utility_from_json(CITY_U)
+    space = utility.space
+
+    oracle, rng = UtilityOracle(utility), random.Random(seed)
+    axioms = [
+        check_order_axioms(oracle, sampling.random_triples(space, rng, 15)),
+        check_independence(oracle, sampling.random_mix_tuples(space, rng, 15)),
+        check_classical_independence(oracle, sampling.random_mix_tuples(space, rng, 15)),
+        check_continuity(oracle, sampling.random_triples(space, rng, 15)),
+    ]
+    assert cli_reports("check-axioms") == [r.to_json() for r in axioms]
+
+    oracle, rng = UtilityOracle(utility), random.Random(seed)
+    claims = verify_claims_i_to_iv(oracle, sampling.random_claim_tuples(space, rng, 15))
+    claims.append(check_claim_v(oracle, sampling.random_triples(space, rng, 15)))
+    assert cli_reports("check-claims") == [r.to_json() for r in claims]

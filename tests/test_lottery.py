@@ -25,6 +25,7 @@ from vnm.errors import (
     AlphaOutOfRange,
     LengthMismatch,
     NegativeProbability,
+    NonFiniteProbability,
     NonFiniteUtility,
     SpaceMismatch,
     SumNotOne,
@@ -65,6 +66,15 @@ class TestConstruction:
         with pytest.raises(NegativeProbability) as exc:
             new_lottery(SPACE3, (Fraction(3, 2), Fraction(-1, 2), 0))
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize(
+        "probs, index",
+        [((float("nan"), 1.0), 0), ((0.0, float("nan")), 1), ((float("inf"), 0.0), 0)],
+    )
+    def test_non_finite_probability_rejected_with_index(self, probs, index):
+        with pytest.raises(NonFiniteProbability) as exc:
+            new_lottery(OutcomeSpace(("a", "b"), FLOAT), probs)
+        assert exc.value.index == index
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

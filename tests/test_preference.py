@@ -16,6 +16,7 @@ from vnm import (
     SubprocessOracle,
     UtilityOracle,
     check_classical_independence,
+    check_continuity,
     check_independence,
     check_order_axioms,
     compare,
@@ -24,11 +25,13 @@ from vnm import (
     new_lottery,
     new_utility,
     probe_continuity,
+    strict_order,
 )
 from vnm.errors import (
     AlphaOutOfRange,
     BudgetExhausted,
     IncompleteOracle,
+    OracleFailure,
     PreconditionViolated,
     SearchExhausted,
     SpaceMismatch,
@@ -277,6 +280,47 @@ class TestContinuityProbe:
         assert exc.value.max_probes == 64
 
 
+def lexicographic(p, q):
+    # first coordinate dominates, second breaks ties: continuity fails
+    return (p.probs[0], p.probs[1]) >= (q.probs[0], q.probs[1])
+
+
+class TestContinuityCheck:
+    def test_strict_order_sorts_or_reports_a_tie(self):
+        o = UtilityOracle(U3)
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        assert strict_order(o, d3, d1, d2) == (d1, d2, d3)
+        assert strict_order(o, d1, d2, d1) is None
+
+    def test_utility_oracle_passes_and_counts_skips(self):
+        o = UtilityOracle(U3)
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        report = check_continuity(o, [(d3, d2, d1), (d1, d1, d3)])
+        assert report.passed
+        assert report.checked == 1
+        assert report.details == {"skipped_not_strict": 1}
+        assert report.queries_used == o.query_count
+
+    def test_intransitive_triple_is_skipped_not_failed(self):
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        beats = {(d1.probs, d2.probs), (d2.probs, d3.probs), (d3.probs, d1.probs)}
+        o = PreferenceOracle(SPACE3, pref_fn=lambda p, q: (q.probs, p.probs) not in beats)
+        report = check_continuity(o, [(d1, d2, d3)])
+        assert report.passed
+        assert (report.checked, report.details["skipped_not_strict"]) == (0, 1)
+
+    def test_lexicographic_witness_stops_the_run(self):
+        o = PreferenceOracle(SPACE3, pref_fn=lexicographic)
+        p = new_lottery(SPACE3, (1, 0, 0))
+        q = new_lottery(SPACE3, (0.6, 0.4, 0))
+        r = new_lottery(SPACE3, (0.6, 0, 0.4))
+        report = check_continuity(o, [(r, q, p), (p, q, r)], max_probes=8)
+        assert not report.passed
+        assert report.checked == 1
+        assert report.witness["p"] == jsonio.lottery_to_json(p)
+        assert "within 8 probes" in report.witness["detail"]
+
+
 class TestSubprocessOracle:
     def test_line_protocol(self, tmp_path):
         script = tmp_path / "comparator.py"
@@ -305,8 +349,6 @@ class TestSubprocessOracle:
             "for line in sys.stdin:\n"
             "    print('not json', flush=True)\n"
         )
-        import json
-
         with SubprocessOracle(SPACE3, f"{sys.executable} {script}") as oracle:
-            with pytest.raises((RuntimeError, json.JSONDecodeError)):
+            with pytest.raises(OracleFailure):
                 oracle.pref(degenerate(SPACE3, "x1"), degenerate(SPACE3, "x2"))
