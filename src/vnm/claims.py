@@ -18,47 +18,24 @@ triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .elicitation import _bisect
 from .errors import AlphaOutOfRange, PreconditionViolated
-from .jsonio import lottery_to_json, number_to_json
+from .jsonio import lottery_to_json, number_to_json, triple_to_json
 from .lottery import Lottery, UtilityFunction, coerce_number, expected_utility, mix
-from .preference import Comparison, PreferenceOracle, UtilityOracle, compare, strict_order
+from .preference import (
+    SKIP,
+    Comparison,
+    PreferenceOracle,
+    Report,
+    UtilityOracle,
+    compare,
+    run_check,
+    strict_order,
+)
 
 CLAIM_IDS = ("I", "II", "III", "IV", "V")
-
-
-@dataclass
-class ClaimReport:
-    """Verdict for one claim over a sample.
-
-    ``trials`` counts tuples whose precondition held and were checked;
-    ``skipped`` counts tuples that did not qualify (wrong comparison kind),
-    reported so sample adequacy stays visible.
-    """
-
-    claim: str
-    passed: bool
-    trials: int
-    skipped: int
-    queries_used: int
-    witness: Optional[dict] = None
-    details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "passed": self.passed,
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "queries_used": self.queries_used,
-            "witness": self.witness,
-        }
-        if self.details:
-            out["details"] = self.details
-        return out
 
 
 def _default_beta(alpha):
@@ -66,10 +43,70 @@ def _default_beta(alpha):
     return (alpha + 1) / 2
 
 
+def _claim_i(oracle, better, worse, r, alpha, beta, m):
+    upper, lower = compare(oracle, better, m), compare(oracle, m, worse)
+    if upper is lower is Comparison.PREFER_FIRST:
+        return None
+    return {
+        "kind": "claim_i",
+        "better": lottery_to_json(better),
+        "worse": lottery_to_json(worse),
+        "alpha": number_to_json(alpha),
+        "better_vs_mix": upper.value,
+        "mix_vs_worse": lower.value,
+    }
+
+
+def _claim_ii(oracle, better, worse, r, alpha, beta, m):
+    c = compare(oracle, mix(better, worse, beta), m)
+    if c is Comparison.PREFER_FIRST:
+        return None
+    return {
+        "kind": "claim_ii",
+        "better": lottery_to_json(better),
+        "worse": lottery_to_json(worse),
+        "alpha": number_to_json(alpha),
+        "beta": number_to_json(beta),
+        "comparison": c.value,
+    }
+
+
+def _claim_iii(oracle, p, q, r, alpha, beta, m):
+    left, right = compare(oracle, p, m), compare(oracle, m, q)
+    if left is right is Comparison.INDIFFERENT:
+        return None
+    return {
+        "kind": "claim_iii",
+        "p": lottery_to_json(p),
+        "q": lottery_to_json(q),
+        "alpha": number_to_json(alpha),
+        "p_vs_mix": left.value,
+        "mix_vs_q": right.value,
+    }
+
+
+def _claim_iv(oracle, p, q, r, alpha, beta, m):
+    c = compare(oracle, mix(p, r, alpha), mix(q, r, alpha))
+    if c is Comparison.INDIFFERENT:
+        return None
+    return {
+        "kind": "claim_iv",
+        **triple_to_json(p, q, r),
+        "alpha": number_to_json(alpha),
+        "mixed_comparison": c.value,
+    }
+
+
+# per-claim tests by the comparison of p and q they need; each takes
+# (oracle, x, y, r, alpha, beta, mix(x, y, alpha)) with x >= y
+_STRICT_CLAIMS = (("I", _claim_i), ("II", _claim_ii))
+_INDIFFERENT_CLAIMS = (("III", _claim_iii), ("IV", _claim_iv))
+
+
 def verify_claims_i_to_iv(
     oracle: PreferenceOracle,
     tuples: Iterable[tuple],
-) -> list[ClaimReport]:
+) -> list[Report]:
     """Check claims I through IV on sampled (p, q, r, alpha[, beta]) tuples.
 
     Each tuple is first classified by comparing p and q. Strict tuples
@@ -77,11 +114,13 @@ def verify_claims_i_to_iv(
     indifferent tuples exercise claims III and IV. A tuple that does not
     satisfy a claim's precondition counts as skipped for that claim. Alpha
     must be strictly interior; beta defaults to the midpoint of (alpha, 1].
+
+    Each claim's ``queries_used`` counts the queries of its own tests. The
+    classifying comparison is charged to the first claim the tuple routes
+    to (I for strict tuples, III for indifferent ones), so the four counts
+    sum to the oracle's queries over the whole run.
     """
-    start = oracle.query_count
-    trials = {c: 0 for c in ("I", "II", "III", "IV")}
-    skipped = {c: 0 for c in ("I", "II", "III", "IV")}
-    witnesses: dict[str, Optional[dict]] = {c: None for c in ("I", "II", "III", "IV")}
+    reports = {c: Report(name=c, passed=True, checked=0, queries_used=0) for c in CLAIM_IDS[:4]}
 
     for item in tuples:
         if len(item) == 5:
@@ -94,80 +133,28 @@ def verify_claims_i_to_iv(
         if beta <= alpha or beta > 1:
             raise AlphaOutOfRange(beta, required=f"({alpha}, 1]")
 
+        start = oracle.query_count
         base = compare(oracle, p, q)
         if base is Comparison.INDIFFERENT:
-            skipped["I"] += 1
-            skipped["II"] += 1
-            m = mix(p, q, alpha)
-            if witnesses["III"] is None:
-                trials["III"] += 1
-                left = compare(oracle, p, m)
-                right = compare(oracle, m, q)
-                if left is not Comparison.INDIFFERENT or right is not Comparison.INDIFFERENT:
-                    witnesses["III"] = {
-                        "kind": "claim_iii",
-                        "p": lottery_to_json(p),
-                        "q": lottery_to_json(q),
-                        "alpha": number_to_json(alpha),
-                        "p_vs_mix": left.value,
-                        "mix_vs_q": right.value,
-                    }
-            if witnesses["IV"] is None:
-                trials["IV"] += 1
-                c = compare(oracle, mix(p, r, alpha), mix(q, r, alpha))
-                if c is not Comparison.INDIFFERENT:
-                    witnesses["IV"] = {
-                        "kind": "claim_iv",
-                        "p": lottery_to_json(p),
-                        "q": lottery_to_json(q),
-                        "r": lottery_to_json(r),
-                        "alpha": number_to_json(alpha),
-                        "mixed_comparison": c.value,
-                    }
+            claims, others, x, y = _INDIFFERENT_CLAIMS, _STRICT_CLAIMS, p, q
         else:
             # orient so that better > worse, then claims I and II apply
-            better, worse = (p, q) if base is Comparison.PREFER_FIRST else (q, p)
-            skipped["III"] += 1
-            skipped["IV"] += 1
-            m_alpha = mix(better, worse, alpha)
-            if witnesses["I"] is None:
-                trials["I"] += 1
-                upper = compare(oracle, better, m_alpha)
-                lower = compare(oracle, m_alpha, worse)
-                if upper is not Comparison.PREFER_FIRST or lower is not Comparison.PREFER_FIRST:
-                    witnesses["I"] = {
-                        "kind": "claim_i",
-                        "better": lottery_to_json(better),
-                        "worse": lottery_to_json(worse),
-                        "alpha": number_to_json(alpha),
-                        "better_vs_mix": upper.value,
-                        "mix_vs_worse": lower.value,
-                    }
-            if witnesses["II"] is None:
-                trials["II"] += 1
-                c = compare(oracle, mix(better, worse, beta), m_alpha)
-                if c is not Comparison.PREFER_FIRST:
-                    witnesses["II"] = {
-                        "kind": "claim_ii",
-                        "better": lottery_to_json(better),
-                        "worse": lottery_to_json(worse),
-                        "alpha": number_to_json(alpha),
-                        "beta": number_to_json(beta),
-                        "comparison": c.value,
-                    }
+            claims, others = _STRICT_CLAIMS, _INDIFFERENT_CLAIMS
+            x, y = (p, q) if base is Comparison.PREFER_FIRST else (q, p)
+        for c, _ in others:
+            reports[c].skipped += 1
+        m = mix(x, y, alpha)
+        for c, test in claims:
+            report = reports[c]
+            if report.witness is None:
+                report.checked += 1
+                report.witness = test(oracle, x, y, r, alpha, beta, m)
+            report.queries_used += oracle.query_count - start
+            start = oracle.query_count
 
-    used = oracle.query_count - start
-    return [
-        ClaimReport(
-            claim=c,
-            passed=witnesses[c] is None,
-            trials=trials[c],
-            skipped=skipped[c],
-            queries_used=used,
-            witness=witnesses[c],
-        )
-        for c in ("I", "II", "III", "IV")
-    ]
+    for report in reports.values():
+        report.passed = report.witness is None
+    return list(reports.values())
 
 
 def analytic_indifference_alpha(u: UtilityFunction, p: Lottery, q: Lottery, r: Lottery):
@@ -193,7 +180,7 @@ def verify_claim_v(
     r: Lottery,
     tol=1e-9,
     max_iter: int = 200,
-) -> ClaimReport:
+) -> Report:
     """Locate the unique weight with mix(p, r, a) ~ q and certify it.
 
     Bisection finds a weight within ``tol`` of the indifference point. For
@@ -221,7 +208,7 @@ def verify_claim_v(
                 "kind": "claim_v_analytic_gap",
                 "alpha_hat": number_to_json(alpha_hat),
                 "analytic_alpha": number_to_json(analytic),
-                "tol": tol,
+                "tol": number_to_json(tol),
             }
 
     step = 10 * coerce_number(tol, p.space.mode)
@@ -253,14 +240,11 @@ def verify_claim_v(
             details["below_comparison"] = "skipped"
 
     if witness is not None:
-        witness.update(
-            {"p": lottery_to_json(p), "q": lottery_to_json(q), "r": lottery_to_json(r)}
-        )
-    return ClaimReport(
-        claim="V",
+        witness.update(triple_to_json(p, q, r))
+    return Report(
+        name="V",
         passed=witness is None,
-        trials=1,
-        skipped=0,
+        checked=1,
         queries_used=oracle.query_count - start,
         witness=witness,
         details=details,
@@ -272,31 +256,27 @@ def check_claim_v(
     triples: Iterable[tuple[Lottery, Lottery, Lottery]],
     tol=1e-9,
     max_iter: int = 200,
-) -> ClaimReport:
+) -> Report:
     """Run :func:`verify_claim_v` on each sampled triple once strictly ordered.
 
     A triple with a tie counts as skipped. The first failing triple's
     witness ends the run. ``queries_used`` covers the sorting queries too.
     A :class:`PreconditionViolated` from the bisection (an intransitive
-    oracle) propagates.
+    oracle) is that triple's witness, of kind ``claim_v_precondition``.
     """
-    start = oracle.query_count
-    trials = skipped = 0
-    witness = None
-    for triple in triples:
+
+    def test(*triple):
         ordered = strict_order(oracle, *triple)
         if ordered is None:
-            skipped += 1
-            continue
-        trials += 1
-        witness = verify_claim_v(oracle, *ordered, tol=tol, max_iter=max_iter).witness
-        if witness is not None:
-            break
-    return ClaimReport(
-        claim="V",
-        passed=witness is None,
-        trials=trials,
-        skipped=skipped,
-        queries_used=oracle.query_count - start,
-        witness=witness,
-    )
+            return SKIP
+        try:
+            return verify_claim_v(oracle, *ordered, tol=tol, max_iter=max_iter).witness
+        except PreconditionViolated as exc:
+            top, middle, bottom = ordered
+            return {
+                "kind": "claim_v_precondition",
+                "detail": str(exc),
+                **triple_to_json(top, middle, bottom),
+            }
+
+    return run_check("V", oracle, triples, test)

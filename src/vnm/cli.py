@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -68,6 +69,19 @@ def _load(path: str, what: str, decode, **options):
         raise CliInputError(f"bad {what} in {path}: {exc}") from exc
 
 
+def _nonnegative(parse):
+    """An argparse type: ``parse(text)``, rejected unless finite and at least 0."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid float value"
+    return convert
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -117,7 +131,8 @@ def _checks_report(args, keys, reports) -> tuple[dict, bool]:
 
 
 def cmd_elicit(args, oracle, space):
-    result = elicit_utility(oracle, space, tol=args.tol, max_iter=args.max_iter)
+    tol = coerce_number(args.tol, args.mode)
+    result = elicit_utility(oracle, space, tol=tol, max_iter=args.max_iter)
     report = {"command": "elicit", "options": _run_options(args, ("tol", "max-iter", "mode"))}
     report.update(result.to_json())
     for label, value in zip(space.labels, result.utility.values):
@@ -141,7 +156,8 @@ def cmd_check_claims(args, oracle, space):
     rng = random.Random(args.seed)
     reports = verify_claims_i_to_iv(oracle, sampling.random_claim_tuples(space, rng, args.sample))
     triples = sampling.random_triples(space, rng, args.sample)
-    reports.append(check_claim_v(oracle, triples, tol=args.tol, max_iter=args.max_iter))
+    tol = coerce_number(args.tol, args.mode)
+    reports.append(check_claim_v(oracle, triples, tol=tol, max_iter=args.max_iter))
     return _checks_report(args, ("sample", "seed", "tol", "mode"), reports)
 
 
@@ -152,7 +168,7 @@ def cmd_verify_representation(args, oracle, space):
         (sampling.random_lottery(space, rng), sampling.random_lottery(space, rng))
         for _ in range(args.sample)
     ]
-    report = verify_representation(oracle, utility, pairs, tol=args.tol)
+    report = verify_representation(oracle, utility, pairs, tol=coerce_number(args.tol, args.mode))
     return {
         "command": "verify-representation",
         "options": _run_options(args, ("sample", "seed", "tol", "mode")),
@@ -164,8 +180,9 @@ def cmd_verify_representation(args, oracle, space):
 def cmd_recover_affine(args):
     u = _load(args.u, "utility", utility_from_json, mode=args.mode)
     v = _load(args.v, "utility", utility_from_json, space=u.space, mode=args.mode)
-    transform = recover_affine(u, v, tol=args.tol)
-    check = verify_affine(u, v, transform, tol=args.tol)
+    tol = None if args.tol is None else coerce_number(args.tol, args.mode)
+    transform = recover_affine(u, v, tol=tol)
+    check = verify_affine(u, v, transform, tol=tol)
     return {
         "command": "recover-affine",
         "alpha": number_to_json(transform.alpha),
@@ -276,11 +293,11 @@ def _add_oracle_flags(sub) -> None:
 def _add_common(sub, tol=True, seed=False, sample=False) -> None:
     sub.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL)
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-9)
+        sub.add_argument("--tol", type=_nonnegative(float), default=1e-9)
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if sample:
-        sub.add_argument("--sample", type=int, default=200)
+        sub.add_argument("--sample", type=_nonnegative(int), default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--u", required=True, help="JSON file with the source utility")
     sub.add_argument("--v", required=True, help="JSON file with the target utility")
     sub.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_nonnegative(float), default=None)
     sub.set_defaults(func=cmd_recover_affine)
 
     sub = commands.add_parser("validate-dataset", help="find contradictions and cycles")
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("fit-model", help="fit a utility that reproduces the dataset")
     sub.add_argument("dataset", help="JSON dataset file")
     sub.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL)
-    sub.add_argument("--margin", type=float, default=1e-3)
+    sub.add_argument("--margin", type=_nonnegative(float), default=1e-3)
     sub.add_argument("--max-epochs", type=int, default=10000)
     sub.set_defaults(func=cmd_fit_model)
 

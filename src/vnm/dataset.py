@@ -29,7 +29,7 @@ from .jsonio import (
     utility_to_json,
 )
 from .lottery import Lottery, OutcomeSpace, UtilityFunction, expected_utility
-from .preference import UtilityOracle
+from .preference import Report, UtilityOracle, run_check
 
 # float-mode lotteries closer than this componentwise count as the same node
 FLOAT_EQUALITY_TOL = 1e-12
@@ -209,37 +209,25 @@ def validate_dataset(dataset: PrefDataset) -> ValidationReport:
     )
 
 
-@dataclass
-class FitCheck:
-    """Whether a model reproduces a dataset at a margin."""
-
-    passed: bool
-    checked: int
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checked": self.checked, "witness": self.witness}
-
-
-def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> FitCheck:
+def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> Report:
     """Every winner must beat its loser by at least ``margin`` in EU."""
-    for index, (winner, loser) in enumerate(dataset.pairs):
+
+    def test(index, pair):
+        winner, loser = pair
         eu_w = expected_utility(winner, model.utility)
         eu_l = expected_utility(loser, model.utility)
-        if not eu_w >= eu_l + margin:
-            return FitCheck(
-                passed=False,
-                checked=index + 1,
-                witness={
-                    "index": index,
-                    "winner": lottery_to_json(winner),
-                    "loser": lottery_to_json(loser),
-                    "eu_winner": number_to_json(eu_w),
-                    "eu_loser": number_to_json(eu_l),
-                    "margin": number_to_json(margin),
-                },
-            )
-    return FitCheck(passed=True, checked=len(dataset.pairs))
+        if eu_w >= eu_l + margin:
+            return None
+        return {
+            "index": index,
+            "winner": lottery_to_json(winner),
+            "loser": lottery_to_json(loser),
+            "eu_winner": number_to_json(eu_w),
+            "eu_loser": number_to_json(eu_l),
+            "margin": number_to_json(margin),
+        }
+
+    return run_check("fit", None, enumerate(dataset.pairs), test)
 
 
 def fit_reward_model(
@@ -324,8 +312,8 @@ def dataset_to_json(dataset: PrefDataset) -> dict:
 
 
 def dataset_from_json(obj, mode: str = "rational") -> PrefDataset:
-    if not isinstance(obj, Mapping) or "space" not in obj or "pairs" not in obj:
-        raise ValueError('dataset must be an object with "space" and "pairs"')
+    if not isinstance(obj, Mapping) or "space" not in obj or not isinstance(obj.get("pairs"), list):
+        raise ValueError('dataset must be an object with "space" and a "pairs" array')
     space = space_from_json(obj["space"], mode)
     pairs = []
     for k, entry in enumerate(obj["pairs"]):

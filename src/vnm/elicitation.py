@@ -25,7 +25,7 @@ from .lottery import (
     expected_utility,
     mix,
 )
-from .preference import AxiomReport, Comparison, PreferenceOracle, compare
+from .preference import SKIP, Comparison, PreferenceOracle, Report, compare, run_check
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -215,28 +215,26 @@ def verify_representation(
     utility: UtilityFunction,
     pairs: Sequence[tuple[Lottery, Lottery]],
     tol=DEFAULT_TOL,
-) -> AxiomReport:
+) -> Report:
     """Check that expected utility under ``utility`` reproduces the oracle.
 
     For each pair, ``pref(p, q)`` must hold exactly when ``EU(p) >= EU(q) -
     tol``, in both query orientations. Pairs whose expected utilities were
-    within ``tol`` of each other cannot be adjudicated that way; those are
-    compared for oracle indifference instead and reported separately under
+    within ``tol`` of each other cannot be adjudicated that way; they are
+    skipped, compared for oracle indifference instead, and reported under
     ``details`` without affecting the verdict.
     """
-    start = oracle.query_count
-    checked = 0
-    near_ties = 0
-    tie_disagreements: list[dict] = []
-    witness = None
-    for index, (p, q) in enumerate(pairs):
+    details: dict = {"near_ties": 0}
+
+    def test(index, pair):
+        p, q = pair
         eu_p = expected_utility(p, utility)
         eu_q = expected_utility(q, utility)
         if abs(eu_p - eu_q) <= tol:
-            near_ties += 1
+            details["near_ties"] += 1
             c = compare(oracle, p, q)
             if c is not Comparison.INDIFFERENT:
-                tie_disagreements.append(
+                details.setdefault("tie_disagreements", []).append(
                     {
                         "index": index,
                         "comparison": c.value,
@@ -244,32 +242,28 @@ def verify_representation(
                         "eu_second": number_to_json(eu_q),
                     }
                 )
-            continue
-        checked += 1
+            return SKIP
         pq = oracle.pref(p, q)
         qp = oracle.pref(q, p)
         expect_pq = eu_p > eu_q
-        if pq != expect_pq or qp != (not expect_pq):
-            witness = {
-                "kind": "representation",
-                "index": index,
-                "first": lottery_to_json(p),
-                "second": lottery_to_json(q),
-                "eu_first": number_to_json(eu_p),
-                "eu_second": number_to_json(eu_q),
-                "pref_first_second": pq,
-                "pref_second_first": qp,
-            }
-            break
-    details = {"near_ties": near_ties}
-    if tie_disagreements:
-        details["tie_disagreements"] = tie_disagreements
-    return AxiomReport(
-        axiom="representation",
-        passed=witness is None,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-        witness=witness,
+        if pq == expect_pq and qp == (not expect_pq):
+            return None
+        return {
+            "kind": "representation",
+            "index": index,
+            "first": lottery_to_json(p),
+            "second": lottery_to_json(q),
+            "eu_first": number_to_json(eu_p),
+            "eu_second": number_to_json(eu_q),
+            "pref_first_second": pq,
+            "pref_second_first": qp,
+        }
+
+    return run_check(
+        "representation",
+        oracle,
+        enumerate(pairs),
+        test,
         note="near-tie pairs are diagnosed separately, not counted as failures",
         details=details,
     )

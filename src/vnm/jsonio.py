@@ -49,11 +49,16 @@ def lottery_to_json(p: Lottery) -> dict:
     }
 
 
+def triple_to_json(p: Lottery, q: Lottery, r: Lottery) -> dict:
+    """The ``p``, ``q`` and ``r`` entries of a witness."""
+    return {"p": lottery_to_json(p), "q": lottery_to_json(q), "r": lottery_to_json(r)}
+
+
 def lottery_from_json(obj, space: OutcomeSpace | None = None, mode: str | None = None) -> Lottery:
     """Decode a lottery object, checking it against ``space`` when given."""
     if not isinstance(obj, Mapping):
         raise ValueError("lottery must be a JSON object")
-    if "probs" not in obj:
+    if not isinstance(obj.get("probs"), list):
         raise ValueError('lottery object needs a "probs" array')
     if "space" in obj:
         declared = space_from_json(obj["space"], mode or (space.mode if space else "rational"))
@@ -90,6 +95,6 @@ def utility_from_json(obj, space: OutcomeSpace | None = None, mode: str = "ratio
             space = space_from_json(obj["space"], mode)
         else:
             space = OutcomeSpace(tuple(values.keys()), mode)
-    elif "space" in obj and tuple(obj["space"]) != space.labels:
+    elif "space" in obj and space_from_json(obj["space"], mode).labels != space.labels:
         raise ValueError("utility space does not match expected space")
     return utility_from_mapping(space, values)

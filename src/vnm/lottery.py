@@ -48,23 +48,26 @@ def coerce_number(value, mode: str) -> Numeric:
     Rational mode accepts ints, Fractions, strings like ``"3/10"`` or
     ``"0.3"``, and floats. Floats are converted through their shortest
     decimal repr, so a literal written as ``0.7`` means exactly 7/10.
+    Bools, None, containers and values that do not fit the mode raise
+    ``ValueError``.
     """
-    if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"cannot represent {value} as a rational")
-            return Fraction(str(value))
-        if isinstance(value, str):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
-    if mode == FLOAT:
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        if mode == RATIONAL:
+            if isinstance(value, Fraction):
+                return value
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ValueError(f"cannot represent {value} as a rational")
+                return Fraction(str(value))
+            return Fraction(value)  # an int or a string
+        if mode == FLOAT:
+            if isinstance(value, str):
+                return float(Fraction(value))
+            return float(value)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot read {value!r} as a number: {exc}") from None
     raise ValueError(f"unknown arithmetic mode: {mode!r}")
 
 

@@ -15,8 +15,10 @@ module is built from that single primitive:
   :func:`check_continuity` runs it on sampled triples after
   :func:`strict_order` sorts each one.
 
-Checks never prove an axiom. A passing report means no counterexample was
-found in the given sample.
+Every sampled check in the package runs through :func:`run_check`, which
+counts checked and skipped instances and queries, stops at the first
+witness and returns one :class:`Report`. Checks never prove an axiom: a
+passing report means no counterexample was found in the given sample.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     SearchExhausted,
     SpaceMismatch,
 )
-from .jsonio import lottery_to_json, number_to_json
+from .jsonio import lottery_to_json, number_to_json, triple_to_json
 from .lottery import Lottery, OutcomeSpace, UtilityFunction, expected_utility, mix
 
 from enum import Enum
@@ -143,27 +145,39 @@ def compare(oracle: PreferenceOracle, p: Lottery, q: Lottery) -> Comparison:
     raise IncompleteOracle(p, q)
 
 
-@dataclass
-class AxiomReport:
-    """Result of one sampled axiom check.
+SKIP = object()
+"""Returned by a :func:`run_check` test when an instance fails its precondition."""
 
-    ``witness`` is a JSON-ready dict present only on failure; it contains
-    every lottery and weight needed to replay the violated instance.
+
+@dataclass
+class Report:
+    """Result of one sampled check: an axiom, a claim, a representation or a fit.
+
+    ``checked`` counts instances tested, the violating one included;
+    ``skipped`` counts instances whose precondition failed, so a pass with
+    ``checked == 0`` is vacuous and ``skipped`` says why. ``witness`` is a
+    JSON-ready dict present only on failure; it contains every lottery and
+    weight needed to replay the violated instance.
     """
 
-    axiom: str
+    name: str
     passed: bool
     checked: int
     queries_used: int
+    skipped: int = 0
     witness: Optional[dict] = None
     note: str = ""
     details: dict = field(default_factory=dict)
 
+    axiom = claim = property(lambda self: self.name)
+    trials = property(lambda self: self.checked)
+
     def to_json(self) -> dict:
         out = {
-            "axiom": self.axiom,
+            "name": self.name,
             "passed": self.passed,
             "checked": self.checked,
+            "skipped": self.skipped,
             "queries_used": self.queries_used,
             "witness": self.witness,
         }
@@ -174,37 +188,43 @@ class AxiomReport:
         return out
 
 
-def _first_violation(
-    axiom: str,
-    oracle: PreferenceOracle,
+def run_check(
+    name: str,
+    oracle: Optional[PreferenceOracle],
     instances: Iterable[tuple],
-    test: Callable[..., Optional[dict]],
-) -> AxiomReport:
-    """Run ``test(*instance)`` until it returns a witness dict; None means it held.
+    test: Callable[..., object],
+    note: str = "",
+    details: Optional[dict] = None,
+) -> Report:
+    """Run ``test(*instance)`` on each instance until one is violated.
 
-    ``checked`` counts instances tested, the violating one included, and
-    ``queries_used`` is the oracle's query count across the whole run.
+    ``test`` returns None when the instance held, a witness dict when it
+    was violated, or :data:`SKIP` when its precondition failed. The first
+    witness ends the run. ``queries_used`` is the oracle's query count
+    across the whole run, skipped instances included (0 without an oracle).
+    ``details`` may be filled by ``test`` as it runs.
     """
-    start = oracle.query_count
-    checked = 0
+    start = oracle.query_count if oracle is not None else 0
+    checked = skipped = 0
     witness = None
     for instance in instances:
+        outcome = test(*instance)
+        if outcome is SKIP:
+            skipped += 1
+            continue
         checked += 1
-        witness = test(*instance)
-        if witness is not None:
+        if outcome is not None:
+            witness = outcome
             break
-    return AxiomReport(
-        axiom=axiom,
-        passed=witness is None,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-        witness=witness,
+    used = oracle.query_count - start if oracle is not None else 0
+    return Report(
+        name, witness is None, checked, used, skipped, witness, note, details or {}
     )
 
 
 def check_order_axioms(
     oracle: PreferenceOracle, triples: Iterable[tuple[Lottery, Lottery, Lottery]]
-) -> AxiomReport:
+) -> Report:
     """Test completeness and transitivity on each sampled triple.
 
     For a triple (p, q, r) all six directed queries are made once, then:
@@ -242,7 +262,7 @@ def check_order_axioms(
                         }
         return None
 
-    return _first_violation("order", oracle, triples, test)
+    return run_check("order", oracle, triples, test)
 
 
 def _require_mixing_weight(alpha) -> None:
@@ -254,7 +274,7 @@ def _require_mixing_weight(alpha) -> None:
 def check_independence(
     oracle: PreferenceOracle,
     tuples: Iterable[tuple[Lottery, Lottery, Lottery, object]],
-) -> AxiomReport:
+) -> Report:
     """Test the independence axiom on sampled (p, q, r, alpha) instances.
 
     Whatever relation holds between p and q must also hold between
@@ -270,21 +290,19 @@ def check_independence(
             return None
         return {
             "kind": "independence",
-            "p": lottery_to_json(p),
-            "q": lottery_to_json(q),
-            "r": lottery_to_json(r),
+            **triple_to_json(p, q, r),
             "alpha": number_to_json(alpha),
             "base_comparison": base.value,
             "mixed_comparison": mixed.value,
         }
 
-    return _first_violation("independence", oracle, tuples, test)
+    return run_check("independence", oracle, tuples, test)
 
 
 def check_classical_independence(
     oracle: PreferenceOracle,
     tuples: Iterable[tuple[Lottery, Lottery, Lottery, object]],
-) -> AxiomReport:
+) -> Report:
     """Test the biconditional form: p >= q iff the alpha-mixtures with r compare the same way.
 
     Both directions of the equivalence are asserted, for both query
@@ -303,9 +321,7 @@ def check_classical_independence(
             return None
         return {
             "kind": "classical_independence",
-            "p": lottery_to_json(p),
-            "q": lottery_to_json(q),
-            "r": lottery_to_json(r),
+            **triple_to_json(p, q, r),
             "alpha": number_to_json(alpha),
             "pref_p_q": forward,
             "pref_mixed_p_q": forward_mixed,
@@ -313,7 +329,7 @@ def check_classical_independence(
             "pref_mixed_q_p": backward_mixed,
         }
 
-    return _first_violation("classical_independence", oracle, tuples, test)
+    return run_check("classical_independence", oracle, tuples, test)
 
 
 def _upper_grid(space: OutcomeSpace, max_probes: int):
@@ -406,45 +422,35 @@ def check_continuity(
     oracle: PreferenceOracle,
     triples: Iterable[tuple[Lottery, Lottery, Lottery]],
     max_probes: int = 64,
-) -> AxiomReport:
+) -> Report:
     """Run :func:`probe_continuity` on each sampled triple once strictly ordered.
 
     Triples with a tie, and triples whose best does not strictly beat their
     worst (possible only for an intransitive oracle, which
-    :func:`check_order_axioms` reports), count in
-    ``details["skipped_not_strict"]`` and not in ``checked``. The first
-    triple whose probe raises :class:`SearchExhausted` is the witness.
+    :func:`check_order_axioms` reports), are skipped. The first triple whose
+    probe raises :class:`SearchExhausted` is the witness.
     """
-    start = oracle.query_count
-    checked = skipped = 0
-    witness = None
-    for triple in triples:
+
+    def test(*triple):
         ordered = strict_order(oracle, *triple)
         if ordered is None:
-            skipped += 1
-            continue
+            return SKIP
         try:
             probe_continuity(oracle, *ordered, max_probes=max_probes)
         except PreconditionViolated:
-            skipped += 1
-            continue
+            return SKIP
         except SearchExhausted as exc:
             top, middle, bottom = ordered
-            witness = {
-                "p": lottery_to_json(top),
-                "q": lottery_to_json(middle),
-                "r": lottery_to_json(bottom),
+            return {
+                **triple_to_json(top, middle, bottom),
                 "detail": str(exc),
             }
-        checked += 1
-        if witness is not None:
-            break
-    return AxiomReport(
-        axiom="continuity",
-        passed=witness is None,
-        checked=checked,
-        queries_used=oracle.query_count - start,
-        witness=witness,
+        return None
+
+    return run_check(
+        "continuity",
+        oracle,
+        triples,
+        test,
         note="witness search on sampled strict triples, not a proof",
-        details={"skipped_not_strict": skipped},
     )

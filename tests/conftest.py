@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from vnm import FLOAT, RATIONAL, Lottery, OutcomeSpace
 
 MAX_DEN = 1000
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def rational_lottery_strategy(space: OutcomeSpace):
@@ -66,3 +69,13 @@ def space2() -> OutcomeSpace:
 @pytest.fixture
 def fspace3() -> OutcomeSpace:
     return OutcomeSpace(("x1", "x2", "x3"), FLOAT)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """Child interpreters (`python -m vnm`) import the checkout that pytest's
+    `pythonpath` setting puts on sys.path, even when vnm is not installed."""
+    with pytest.MonkeyPatch.context() as patch:
+        paths = (SRC, os.environ.get("PYTHONPATH"))
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield

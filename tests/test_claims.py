@@ -18,9 +18,11 @@ from vnm import (
     check_claim_v,
     degenerate,
     expected_utility,
+    jsonio,
     new_lottery,
     new_utility,
     sampling,
+    strict_order,
     verify_claim_v,
     verify_claims_i_to_iv,
 )
@@ -65,6 +67,30 @@ class TestClaimsOneToFour:
         assert reports["III"].trials == 100
         assert reports["IV"].trials == 100
         assert reports["I"].skipped == 100
+
+    def test_strict_queries_split_between_claims_one_and_two(self):
+        o = UtilityOracle(U3)
+        tuples = sampling.random_claim_tuples(SPACE3, random.Random(5), 40)
+        reports = {r.claim: r for r in verify_claims_i_to_iv(o, tuples)}
+        assert reports["I"].trials == 40  # no ties in this sample
+        used = {c: r.queries_used for c, r in reports.items()}
+        assert sum(used.values()) == o.query_count
+        # the classifying comparison is charged to I, which then makes two more
+        assert used == {"I": 6 * 40, "II": 2 * 40, "III": 0, "IV": 0}
+
+    def test_indifferent_queries_split_between_claims_three_and_four(self):
+        # x1 and x2 tie, so p and p with those two swapped are indifferent
+        o = UtilityOracle(new_utility(SPACE3, (1, 1, 0)))
+        rng = random.Random(4)
+        tuples = []
+        for _ in range(40):
+            p, r = sampling.random_lottery(SPACE3, rng), sampling.random_lottery(SPACE3, rng)
+            a = sampling.random_alpha(SPACE3, rng, include_one=False)
+            tuples.append((p, swapped_first_two(p), r, a))
+        reports = {r.claim: r for r in verify_claims_i_to_iv(o, tuples)}
+        used = {c: r.queries_used for c, r in reports.items()}
+        assert sum(used.values()) == o.query_count
+        assert used == {"I": 0, "II": 0, "III": 6 * 40, "IV": 2 * 40}
 
     def test_explicit_beta_tuples(self):
         o = UtilityOracle(U3)
@@ -217,9 +243,15 @@ class TestClaimVCheck:
         assert report.trials == 1
         assert report.witness == verify_claim_v(o, d1, d2, d3).witness
 
-    def test_bisection_precondition_propagates(self):
+    def test_bisection_precondition_is_the_witness(self):
         d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
         beats = {(d1.probs, d2.probs), (d2.probs, d3.probs), (d3.probs, d1.probs)}
         o = PreferenceOracle(SPACE3, pref_fn=lambda p, q: (q.probs, p.probs) not in beats)
-        with pytest.raises(PreconditionViolated):
-            check_claim_v(o, [(d1, d2, d3)])
+        report = check_claim_v(o, [(d1, d2, d3), (d1, d2, d3)])
+        assert not report.passed
+        assert (report.checked, report.skipped) == (1, 0)
+        witness = report.witness
+        assert witness["kind"] == "claim_v_precondition"
+        assert "strictly preferred" in witness["detail"]
+        ordered = strict_order(o, d1, d2, d3)
+        assert [witness[k] for k in "pqr"] == [jsonio.lottery_to_json(x) for x in ordered]

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vnm import (
     UtilityOracle,
@@ -164,7 +169,7 @@ class TestCheckAxioms:
         result = run_cli("check-axioms", "--oracle-utility", city_files["u"], "--sample", "40")
         assert result.returncode == 0
         report = json.loads(result.stdout)
-        by_name = {block["axiom"]: block for block in report["reports"]}
+        by_name = {block["name"]: block for block in report["reports"]}
         assert by_name["order"]["passed"]
         assert by_name["independence"]["passed"]
         assert by_name["classical_independence"]["passed"]
@@ -191,7 +196,7 @@ class TestCheckAxioms:
         )
         assert result.returncode == 1
         report = json.loads(result.stdout)
-        order = next(b for b in report["reports"] if b["axiom"] == "order")
+        order = next(b for b in report["reports"] if b["name"] == "order")
         assert not order["passed"]
         assert order["witness"]["kind"] == "transitivity"
 
@@ -203,7 +208,7 @@ class TestCheckClaims:
         )
         assert result.returncode == 0
         report = json.loads(result.stdout)
-        names = {block["claim"] for block in report["reports"]}
+        names = {block["name"] for block in report["reports"]}
         assert names == {"I", "II", "III", "IV", "V"}
         assert all(block["passed"] for block in report["reports"])
 
@@ -213,6 +218,27 @@ class TestCheckClaims:
             for _ in range(2)
         ]
         assert runs[0].stdout == runs[1].stdout
+
+    def test_intransitive_comparator_keeps_every_claim(self, tmp_path, city_files):
+        script = tmp_path / "cyclic.py"
+        script.write_text(CYCLIC_COMPARATOR)
+        result = run_cli(
+            "check-claims",
+            "--oracle-cmd",
+            f"{sys.executable} {script}",
+            "--space",
+            city_files["space"],
+            "--sample",
+            "30",
+        )
+        assert result.returncode == 1
+        by_name = {block["name"]: block for block in json.loads(result.stdout)["reports"]}
+        assert list(by_name) == ["I", "II", "III", "IV", "V"]
+        assert all(by_name[c]["checked"] > 0 for c in ("I", "II", "III", "IV"))
+        claim_v = by_name["V"]
+        assert not claim_v["passed"]
+        assert claim_v["witness"]["kind"] == "claim_v_precondition"
+        assert {"p", "q", "r", "detail"} <= set(claim_v["witness"])
 
 
 class TestVerifyRepresentation:
@@ -246,6 +272,16 @@ class TestVerifyRepresentation:
 
 
 class TestRecoverAffine:
+    def test_tol_is_exact_in_rational_mode(self, tmp_path):
+        # the residual at b is 1/10 + 1/10**18, just above a tolerance of exactly 1/10
+        u = {"space": ["a", "b", "c"], "utility": {"a": "0", "b": "1/2", "c": "1"}}
+        v = {"space": ["a", "b", "c"], "utility": {"a": "0", "b": "6/10", "c": "1"}}
+        v["utility"]["b"] = str(Fraction(6, 10) + Fraction(1, 10**18))
+        paths = [write_json(tmp_path / f"{k}.json", x) for k, x in (("u", u), ("v", v))]
+        result = run_cli("recover-affine", "--u", paths[0], "--v", paths[1], "--tol", "0.1")
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"]["type"] == "NotAffine"
+
     def test_city_pair(self, city_files):
         result = run_cli("recover-affine", "--u", city_files["u"], "--v", city_files["v"])
         assert result.returncode == 0
@@ -375,6 +411,128 @@ class TestBadInput:
         result = run_cli("validate-dataset", path, "--mode", "float")
         assert result.returncode == 2
         assert "not finite" in result.stderr
+
+
+AB = ["a", "b"]
+AB_LOSER = {"space": AB, "probs": ["0", "1"]}
+
+
+def ab_pair_with_winner_probs(probs):
+    return {"space": AB, "pairs": [{"winner": {"space": AB, "probs": probs}, "loser": AB_LOSER}]}
+
+
+# (command, file contents) whose values have the wrong JSON type
+MALFORMED_VALUES = {
+    "pairs_not_an_array": ("validate-dataset", {"space": AB, "pairs": 5}),
+    "probs_not_an_array": ("fit-model", ab_pair_with_winner_probs(5)),
+    "probs_a_string": ("fit-model", ab_pair_with_winner_probs("10")),
+    "probs_null_entry": ("validate-dataset", ab_pair_with_winner_probs([None, 1])),
+    "probs_bools": ("fit-model", ab_pair_with_winner_probs([True, False])),
+    "utility_null": ("elicit", {"space": AB, "utility": {"a": None, "b": 1}}),
+    "utility_array": ("elicit", {"space": AB, "utility": {"a": [1], "b": 0}}),
+}
+
+
+def file_argv(command, path):
+    return ["elicit", "--oracle-utility", path] if command == "elicit" else [command, path]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_json_value_is_exit_two(case, tmp_path, capsys):
+    command, payload = MALFORMED_VALUES[case]
+    path = write_json(tmp_path / "input.json", payload)
+    assert main(file_argv(command, path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad ") and path in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("fit-model", "--margin", "nan"),
+        ("fit-model", "--margin", "inf"),
+        ("elicit", "--tol", "nan"),
+        ("elicit", "--tol", "-1"),
+        ("check-axioms", "--sample", "-3"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(flags, tmp_path, city_files, capsys):
+    command, *rest = flags
+    if command == "fit-model":
+        argv = [command, write_json(tmp_path / "d.json", ab_dataset((("1", "0"), ("0", "1"))))]
+    else:
+        argv = [command, "--oracle-utility", city_files["u"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + rest)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert rest[0] in err
+
+
+# JSON junk: wrong container types, null, bools, strings, NaN and huge numbers
+JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.sampled_from([10**400, -(10**400), 1e308, float("nan"), float("inf"), -0.0]),
+        st.floats(),
+        st.sampled_from(["", "1/2", "1/0", "0.5", "1e400", "nan", "a"]),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def or_junk(strategy):
+    return st.one_of(strategy, JUNK)
+
+
+NUMBER = or_junk(st.sampled_from(["0", "1", "1/2", 0, 1, 0.5, "3/10", "7/10"]))
+SPACE = or_junk(st.just(AB))
+PROBS = or_junk(st.lists(NUMBER, min_size=2, max_size=2))
+LOTTERY = or_junk(st.fixed_dictionaries({"space": SPACE, "probs": PROBS}))
+PAIR = or_junk(st.fixed_dictionaries({"winner": LOTTERY, "loser": LOTTERY}))
+DATASET = or_junk(
+    st.fixed_dictionaries({"space": SPACE, "pairs": or_junk(st.lists(PAIR, max_size=3))})
+)
+UTILITY = or_junk(
+    st.fixed_dictionaries(
+        {"space": SPACE, "utility": or_junk(st.fixed_dictionaries({"a": NUMBER, "b": NUMBER}))}
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(["validate-dataset", "fit-model"]), DATASET),
+        st.tuples(st.just("elicit"), UTILITY),
+    ),
+    mode=st.sampled_from(["rational", "float"]),
+)
+def test_cli_contract_on_fuzzed_json(case, mode):
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = file_argv(command, path) + ["--mode", mode]
+        if command == "fit-model":
+            argv += ["--max-epochs", "50"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        json.loads(out.getvalue())
 
 
 BAD_COMMANDS = {
