@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("elicit", help="recover a normalized utility from an oracle")
     _add_oracle_flags(sub)
     _add_common(sub)
-    sub.add_argument("--max-iter", type=int, default=200)
+    sub.add_argument("--max-iter", type=_nonnegative(int), default=200)
     sub.set_defaults(func=cmd_elicit)
 
     sub = commands.add_parser("check-axioms", help="sampled order/independence/continuity checks")
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("check-claims", help="check the five mixture lemmas on samples")
     _add_oracle_flags(sub)
     _add_common(sub, seed=True, sample=True)
-    sub.add_argument("--max-iter", type=int, default=200)
+    sub.add_argument("--max-iter", type=_nonnegative(int), default=200)
     sub.set_defaults(func=cmd_check_claims)
 
     sub = commands.add_parser(
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("dataset", help="JSON dataset file")
     sub.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL)
     sub.add_argument("--margin", type=_nonnegative(float), default=1e-3)
-    sub.add_argument("--max-epochs", type=int, default=10000)
+    sub.add_argument("--max-epochs", type=_nonnegative(int), default=10000)
     sub.set_defaults(func=cmd_fit_model)
 
     sub = commands.add_parser("demo", help="replay the worked examples and check them")

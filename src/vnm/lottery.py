@@ -9,6 +9,8 @@ Arithmetic runs in one of two modes, fixed per :class:`OutcomeSpace`:
 * ``rational``: probabilities and utilities are :class:`fractions.Fraction`
   values and every operation is exact. Float inputs are read as the decimal
   they print as, so ``0.3`` becomes ``3/10``, not the nearest binary float.
+  Internally a lottery is a tuple of int numerators over one denominator,
+  so mixing and expected utility run on ints.
 * ``float``: plain IEEE doubles, for large sweeps where exactness is not
   worth the cost. Probability sums are accepted within ``1e-12``.
 """
@@ -16,9 +18,13 @@ Arithmetic runs in one of two modes, fixed per :class:`OutcomeSpace`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+import re
+import sys
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     AlphaOutOfRange,
@@ -41,6 +47,11 @@ FLOAT_SUPPORT_TOL = 1e-15
 
 Numeric = Union[Fraction, float]
 
+# a numeric string's decimal exponent; past Python's own limit on the digits
+# of an int string, expanding it exactly would take unbounded time
+_EXPONENT = re.compile(r"[eE]\s*([-+]?\d+(?:_\d+)*)\s*$")
+MAX_EXPONENT = sys.int_info.default_max_str_digits
+
 
 def coerce_number(value, mode: str) -> Numeric:
     """Convert ``value`` to the arithmetic type of ``mode``.
@@ -48,11 +59,16 @@ def coerce_number(value, mode: str) -> Numeric:
     Rational mode accepts ints, Fractions, strings like ``"3/10"`` or
     ``"0.3"``, and floats. Floats are converted through their shortest
     decimal repr, so a literal written as ``0.7`` means exactly 7/10.
-    Bools, None, containers and values that do not fit the mode raise
+    Bools, None, containers, values that do not fit the mode and strings
+    with a decimal exponent beyond ``MAX_EXPONENT`` in magnitude raise
     ``ValueError``.
     """
     if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
         raise ValueError(f"expected a number, got {value!r}")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} is beyond ±{MAX_EXPONENT}")
     try:
         if mode == RATIONAL:
             if isinstance(value, Fraction):
@@ -108,35 +124,101 @@ class OutcomeSpace:
         return Fraction(1) if self.exact else 1.0
 
 
-@dataclass(frozen=True)
+def _over_one_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """``(nums, den)`` with ``values[i] == nums[i] / den``, in lowest terms.
+
+    Each value is in lowest terms, so their least common denominator is too.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 class Lottery:
     """A probability distribution over an outcome space.
 
     Invariants, checked at construction: one probability per outcome, every
     entry finite and nonnegative, entries summing to one (exactly in
     rational mode, within ``FLOAT_SUM_TOL`` in float mode).
+
+    In rational mode the lottery is stored as int numerators ``nums`` over
+    one positive denominator ``den``, in lowest terms; ``probs`` is a
+    ``Fraction`` view built on first use and then kept. In float mode
+    ``probs`` holds the floats and ``nums`` and ``den`` are None. Instances
+    are immutable.
     """
 
-    space: OutcomeSpace
-    probs: tuple[Numeric, ...]
+    def __init__(self, space: OutcomeSpace, probs: Iterable[Numeric]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "probs", tuple(probs))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
-        if len(self.probs) != self.space.size:
-            raise LengthMismatch(self.space.size, len(self.probs))
-        # negated comparisons so NaN fails them without a per-entry isfinite
-        for i, v in enumerate(self.probs):
-            if not v >= 0:
+        """Validate the entries; in rational mode also store ``(nums, den)``.
+
+        A method of its own, apart from ``__init__``, so that a tracer can time it.
+        """
+        probs = self.probs
+        if len(probs) != self.space.size:
+            raise LengthMismatch(self.space.size, len(probs))
+        # chained comparisons, so NaN and infinities fail without math.isfinite
+        for i, v in enumerate(probs):
+            if not 0 <= v < math.inf:
                 raise (NegativeProbability if v < 0 else NonFiniteProbability)(i, v)
-        total = sum(self.probs)
-        if self.space.exact:
-            if total != 1:
+        if not self.space.exact:
+            total = sum(probs)
+            if not abs(total - 1.0) <= FLOAT_SUM_TOL:
                 raise SumNotOne(total)
-        elif not abs(total - 1.0) <= FLOAT_SUM_TOL:
-            for i, v in enumerate(self.probs):
-                if math.isinf(v):
-                    raise NonFiniteProbability(i, v)
-            raise SumNotOne(total)
+            object.__setattr__(self, "nums", None)
+            object.__setattr__(self, "den", None)
+            return
+        probs = tuple(coerce_number(v, RATIONAL) for v in probs)
+        nums, den = _over_one_denominator(probs)
+        if sum(nums) != den:
+            raise SumNotOne(Fraction(sum(nums), den))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _exact(cls, space: OutcomeSpace, nums: tuple[int, ...], den: int) -> Lottery:
+        """A rational lottery from nonnegative ints summing to ``den > 0``.
+
+        Trusted: nothing is validated. One gcd brings it to lowest terms.
+        """
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        lot = object.__new__(cls)
+        lot.__dict__.update(space=space, nums=nums, den=den)
+        return lot
+
+    @cached_property
+    def probs(self) -> tuple[Numeric, ...]:
+        """Built from ``(nums, den)`` on first use; set at construction otherwise."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
+    def key(self) -> tuple:
+        """``(nums, den)``, or ``probs`` in float mode: equal iff the probabilities are."""
+        return self.probs if self.den is None else (self.nums, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Lottery):
+            return NotImplemented
+        return self.space == other.space and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.space, self.key))
+
+    def __repr__(self):
+        return f"Lottery(space={self.space!r}, probs={self.probs!r})"
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def prob(self, label: str) -> Numeric:
         return self.probs[self.space.index(label)]
@@ -144,7 +226,7 @@ class Lottery:
     def support(self) -> tuple[str, ...]:
         """Labels carrying mass. Float mode ignores dust below 1e-15."""
         if self.space.exact:
-            return tuple(x for x, v in zip(self.space.labels, self.probs) if v > 0)
+            return tuple(x for x, n in zip(self.space.labels, self.nums) if n)
         return tuple(
             x for x, v in zip(self.space.labels, self.probs) if v > FLOAT_SUPPORT_TOL
         )
@@ -158,8 +240,9 @@ def new_lottery(space: OutcomeSpace, probs: Iterable) -> Lottery:
 def degenerate(space: OutcomeSpace, label: str) -> Lottery:
     """The lottery that yields ``label`` with certainty."""
     i = space.index(label)
-    one, zero = space.one(), space.zero()
-    return Lottery(space, tuple(one if j == i else zero for j in range(space.size)))
+    if space.exact:
+        return Lottery._exact(space, tuple(int(j == i) for j in range(space.size)), 1)
+    return Lottery(space, tuple(float(j == i) for j in range(space.size)))
 
 
 def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
@@ -171,26 +254,41 @@ def mix(p: Lottery, q: Lottery, alpha) -> Lottery:
     if p.space != q.space:
         raise SpaceMismatch()
     a = coerce_number(alpha, p.space.mode)
-    if a < 0 or a > 1:
+    if not 0 <= a <= 1:
         raise AlphaOutOfRange(a)
-    b = p.space.one() - a
+    if p.space.exact:
+        # a = an/ad: each entry is (an*x*q.den + (ad-an)*y*p.den) / (ad*p.den*q.den)
+        an, ad = a.numerator, a.denominator
+        s, t = an * q.den, (ad - an) * p.den
+        nums = tuple(s * x + t * y for x, y in zip(p.nums, q.nums))
+        return Lottery._exact(p.space, nums, ad * p.den * q.den)
+    b = 1.0 - a
     return Lottery(p.space, tuple(a * x + b * y for x, y in zip(p.probs, q.probs)))
 
 
 @dataclass(frozen=True)
 class UtilityFunction:
-    """A real value per outcome. Values must be finite."""
+    """A real value per outcome. Values must be finite.
+
+    In rational mode the values are Fractions and ``_ints`` holds them as
+    ``(nums, den)``, int numerators over one denominator.
+    """
 
     space: OutcomeSpace
     values: tuple[Numeric, ...]
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.space.size:
-            raise LengthMismatch(self.space.size, len(self.values))
-        for x, v in zip(self.space.labels, self.values):
+        values = tuple(self.values)
+        if len(values) != self.space.size:
+            raise LengthMismatch(self.space.size, len(values))
+        for x, v in zip(self.space.labels, values):
             if isinstance(v, float) and not math.isfinite(v):
                 raise NonFiniteUtility(x, v)
+        if self.space.exact:
+            values = tuple(coerce_number(v, RATIONAL) for v in values)
+            object.__setattr__(self, "_ints", _over_one_denominator(values))
+        object.__setattr__(self, "values", values)
 
     def value(self, label: str) -> Numeric:
         return self.values[self.space.index(label)]
@@ -225,6 +323,9 @@ def expected_utility(p: Lottery, u: UtilityFunction) -> Numeric:
     """
     if p.space != u.space:
         raise SpaceMismatch()
+    if p.space.exact:
+        nums, den = u._ints
+        return Fraction(sum(map(operator.mul, p.nums, nums)), p.den * den)
     total = p.space.zero()
     for pv, uv in zip(p.probs, u.values):
         if pv:

@@ -13,6 +13,7 @@ import contextlib
 import json
 import shlex
 import subprocess
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import OracleFailure
@@ -52,16 +53,19 @@ class RankDependentOracle(PreferenceOracle):
         self._cache: dict[tuple, object] = {}
 
     def rank_dependent_value(self, p: Lottery):
-        key = p.probs
+        key = p.key
         got = self._cache.get(key)
         if got is not None:
             return got
+        # rational mode sums int numerators over p.den and never builds p.probs
+        den = p.den
+        masses = p.probs if den is None else p.nums
         total = self.space.zero()
-        cum = self.space.zero()
-        w_prev = self.weight(cum)
+        cum = 0
+        w_prev = self.weight(self.space.zero())
         for i in self._order:
-            cum = cum + p.probs[i]
-            w_cum = self.weight(cum)
+            cum += masses[i]
+            w_cum = self.weight(cum if den is None else Fraction(cum, den))
             total += (w_cum - w_prev) * self.utility.values[i]
             w_prev = w_cum
         self._cache[key] = total

@@ -117,7 +117,7 @@ class UtilityOracle(PreferenceOracle):
         self._eu_cache: dict[tuple, object] = {}
 
     def _eu(self, p: Lottery):
-        key = p.probs
+        key = p.key
         got = self._eu_cache.get(key)
         if got is None:
             got = expected_utility(p, self.utility)
@@ -125,7 +125,9 @@ class UtilityOracle(PreferenceOracle):
         return got
 
     def _answer(self, p: Lottery, q: Lottery) -> bool:
-        return self._eu(p) >= self._eu(q) - self.indiff_epsilon
+        if self.indiff_epsilon:
+            return self._eu(p) >= self._eu(q) - self.indiff_epsilon
+        return self._eu(p) >= self._eu(q)
 
 
 def compare(oracle: PreferenceOracle, p: Lottery, q: Lottery) -> Comparison:

@@ -27,7 +27,7 @@ def random_lottery(
         if total:
             break
     if space.exact:
-        return Lottery(space, tuple(Fraction(d, total) for d in draws))
+        return Lottery._exact(space, tuple(draws), total)
     return Lottery(space, tuple(d / total for d in draws))
 
 

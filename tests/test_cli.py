@@ -447,6 +447,17 @@ def test_malformed_json_value_is_exit_two(case, tmp_path, capsys):
     assert err.startswith("error: bad ") and path in err
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("value", ["1e30000000", "1e999999999", "-2.5E-30000000"])
+def test_huge_exponent_is_exit_two(value, mode, tmp_path, capsys):
+    # expanding such a string exactly would take unbounded time and memory
+    path = write_json(tmp_path / "u.json", {"space": AB, "utility": {"a": value, "b": "0"}})
+    assert main(["elicit", "--oracle-utility", path, "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad ") and "exponent" in err
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -455,6 +466,8 @@ def test_malformed_json_value_is_exit_two(case, tmp_path, capsys):
         ("elicit", "--tol", "nan"),
         ("elicit", "--tol", "-1"),
         ("check-axioms", "--sample", "-3"),
+        ("elicit", "--max-iter", "-1"),
+        ("fit-model", "--max-epochs", "-5"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(flags, tmp_path, city_files, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from vnm.errors import (
     SumNotOne,
     UnknownOutcome,
 )
+from vnm.lottery import MAX_EXPONENT, coerce_number
 
 from conftest import alpha_strategy, rational_lottery_strategy, utility_values_strategy
 
@@ -134,6 +137,11 @@ class TestMix:
         for bad in (-0.1, 1.1, Fraction(3, 2)):
             with pytest.raises(AlphaOutOfRange):
                 mix(p, q, bad)
+
+    def test_nan_alpha_rejected_in_float_mode(self):
+        s = OutcomeSpace(("a", "b"), FLOAT)
+        with pytest.raises(AlphaOutOfRange):
+            mix(degenerate(s, "a"), degenerate(s, "b"), float("nan"))
 
     def test_space_mismatch(self):
         other = OutcomeSpace(("y1", "y2", "y3"), RATIONAL)
@@ -262,3 +270,89 @@ class TestJson:
     def test_utility_space_from_key_order(self):
         u = jsonio.utility_from_json({"utility": {"b": "1", "a": "0"}})
         assert u.space.labels == ("b", "a")
+
+
+@st.composite
+def core_case(draw):
+    """An outcome space of 1-8 outcomes, two weight vectors (some degenerate), alpha and utility."""
+    n = draw(st.integers(1, 8))
+    space = OutcomeSpace(tuple(f"x{i}" for i in range(n)), RATIONAL)
+
+    def weights():
+        index = st.integers(0, n - 1)
+        degenerate_weights = index.map(lambda i: [int(j == i) for j in range(n)])
+        spread = st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any)
+        return draw(st.one_of(degenerate_weights, spread))
+
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1)]),
+            st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        )
+    )
+    values = draw(st.lists(st.fractions(max_denominator=1000), min_size=n, max_size=n))
+    return space, weights(), weights(), alpha, values
+
+
+def reference_probs(weights):
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+class TestIntegerCore:
+    """The int-numerator core against a plain-Fraction computation."""
+
+    @given(core_case())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        space, wp, wq, alpha, values = case
+        ref_p, ref_q = reference_probs(wp), reference_probs(wq)
+        p, q = Lottery(space, ref_p), new_lottery(space, [str(v) for v in ref_q])
+        u = new_utility(space, values)
+        ref_m = tuple(alpha * x + (1 - alpha) * y for x, y in zip(ref_p, ref_q))
+
+        m = mix(p, q, alpha)
+        assert m.probs == ref_m
+        assert all(type(v) is Fraction for v in m.probs)
+        assert [str(v) for v in m.probs] == [str(v) for v in ref_m]
+        assert m.den > 0 and math.gcd(m.den, *m.nums) == 1
+        assert expected_utility(m, u) == sum(x * v for x, v in zip(ref_m, values))
+        assert expected_utility(p, u) == sum(x * v for x, v in zip(ref_p, values))
+        assert m.support() == tuple(x for x, v in zip(space.labels, ref_m) if v > 0)
+        rebuilt = Lottery(space, ref_m)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+        assert (p == q) == (ref_p == ref_q)
+        if p == q:
+            assert hash(p) == hash(q)
+        assert (m == p) == (ref_m == ref_p)
+
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ((Fraction(1, 2), Fraction(1, 2)), LengthMismatch),
+            ((Fraction(3, 2), Fraction(-1, 2), 0), NegativeProbability),
+            ((float("nan"), 1, 0), NonFiniteProbability),
+            ((0, float("inf"), 0), NonFiniteProbability),
+            ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), SumNotOne),
+        ],
+    )
+    def test_public_constructor_still_validates(self, probs, error):
+        with pytest.raises(error):
+            Lottery(SPACE3, probs)
+
+    @pytest.mark.parametrize("name", ["space", "probs", "nums", "den", "other"])
+    def test_instances_are_immutable(self, name):
+        p = new_lottery(SPACE3, ("1/2", "1/4", "1/4"))
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+        assert p.nums == (2, 1, 1) and p.den == 4
+
+    def test_exponent_bound_in_both_modes(self):
+        assert coerce_number(f"1e{MAX_EXPONENT}", RATIONAL) == 10**MAX_EXPONENT
+        assert coerce_number(f"1e-{MAX_EXPONENT}", FLOAT) == 0.0
+        for mode in (RATIONAL, FLOAT):
+            for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}", "1e999999999"):
+                with pytest.raises(ValueError):
+                    coerce_number(text, mode)

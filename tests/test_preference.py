@@ -22,8 +22,10 @@ from vnm import (
     compare,
     degenerate,
     jsonio,
+    mix,
     new_lottery,
     new_utility,
+    preference,
     probe_continuity,
     strict_order,
 )
@@ -109,6 +111,48 @@ class TestOracleMechanics:
         other = OutcomeSpace(("y1", "y2"))
         with pytest.raises(SpaceMismatch):
             o.pref(degenerate(other, "y1"), degenerate(other, "y2"))
+
+
+def equal_lotteries():
+    """One lottery three times over: asked twice, built again by new_lottery and by mix."""
+    p = new_lottery(SPACE3, ("1/2", "1/4", "1/4"))
+    again = new_lottery(SPACE3, ("0.5", "2/8", "0.25"))
+    mixed = mix(degenerate(SPACE3, "x1"), new_lottery(SPACE3, ("0", "1/2", "1/2")), "1/2")
+    assert again == mixed == p and again is not p and mixed is not p
+    return [p, p, again, mixed]
+
+
+class TestValueCaches:
+    """Oracle value caches are keyed on ``(nums, den)``, so equal lotteries share an entry."""
+
+    def test_utility_oracle_evaluates_equal_lotteries_once(self, monkeypatch):
+        evaluated = []
+        real = preference.expected_utility
+
+        def counting(p, u):
+            evaluated.append(p)
+            return real(p, u)
+
+        monkeypatch.setattr(preference, "expected_utility", counting)
+        o = UtilityOracle(U3)
+        worst = degenerate(SPACE3, "x3")
+        assert all(o.pref(p, worst) for p in equal_lotteries())
+        assert o.query_count == 4
+        assert evaluated == [equal_lotteries()[0], worst]
+        assert set(o._eu_cache) == {((2, 1, 1), 4), ((0, 0, 1), 1)}
+
+    def test_rank_dependent_oracle_evaluates_equal_lotteries_once(self):
+        weights = []
+
+        def square(t):
+            weights.append(t)
+            return t * t
+
+        o = RankDependentOracle(U3, weight=square)
+        values = {o.rank_dependent_value(p) for p in equal_lotteries()}
+        assert len(values) == 1
+        assert len(weights) == SPACE3.size + 1
+        assert set(o._cache) == {((2, 1, 1), 4)}
 
 
 class TestOrderAxioms:
