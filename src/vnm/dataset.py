@@ -6,16 +6,25 @@ the two ways such data can contradict itself: the same pair recorded in
 both directions, and longer strict-preference cycles. Cycle detection goes
 beyond pairwise contradiction checking and is reported as such.
 
+Lottery identity is exact on ``(nums, den)`` in rational mode. In float
+mode a lottery joins the first earlier lottery within ``FLOAT_EQUALITY_TOL``
+in every entry; a dict of cells keyed on the first entry finds it in linear
+expected time.
+
 Fitting searches for a utility whose expected-utility ranking reproduces
 every pair at a requested margin, via perceptron-style additive updates on
 the winner-minus-loser probability vectors. A linear-programming solver
-would do the same job; the iterative rule keeps this module dependency-free
-and its updates are exact in rational mode.
+would do the same job; the iterative rule keeps this module dependency-free.
+In rational mode the updates run on ints over one common denominator, and
+the margin is read exactly (``1e-3`` means 1/1000).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import Infeasible, PreconditionViolated, SpaceMismatch
@@ -28,7 +37,7 @@ from .jsonio import (
     utility_from_json,
     utility_to_json,
 )
-from .lottery import Lottery, OutcomeSpace, UtilityFunction, expected_utility
+from .lottery import Lottery, OutcomeSpace, UtilityFunction, coerce_number, expected_utility
 from .preference import Report, UtilityOracle, run_check
 
 # float-mode lotteries closer than this componentwise count as the same node
@@ -70,7 +79,7 @@ def lotteries_equal(p: Lottery, q: Lottery) -> bool:
     if p.space != q.space:
         return False
     if p.space.exact:
-        return p.probs == q.probs
+        return p.key == q.key
     return all(abs(a - b) <= FLOAT_EQUALITY_TOL for a, b in zip(p.probs, q.probs))
 
 
@@ -111,31 +120,34 @@ def _canonical_ids(dataset: PrefDataset) -> list[tuple[int, int]]:
     """Map each pair to (winner_node, loser_node) ids under dataset identity."""
     if dataset.space.exact:
         seen: dict[tuple, int] = {}
-        ids = []
-        for winner, loser in dataset.pairs:
-            row = []
-            for lot in (winner, loser):
-                node = seen.setdefault(lot.probs, len(seen))
-                row.append(node)
-            ids.append(tuple(row))
-        return ids
-    # float mode: first-match bucketing within tolerance
+        return [
+            (seen.setdefault(w.key, len(seen)), seen.setdefault(l.key, len(seen)))
+            for w, l in dataset.pairs
+        ]
+    # float mode: a lottery joins the first representative within tolerance.
+    # Cells are 2*tol wide on the first entry, so a match lies in the
+    # lottery's own cell or a neighbouring one; each cell lists its
+    # representatives in order, so the lowest match over the three is the first.
+    width = 2 * FLOAT_EQUALITY_TOL
     representatives: list[Lottery] = []
-    ids = []
-    for winner, loser in dataset.pairs:
-        row = []
-        for lot in (winner, loser):
-            node = None
-            for k, rep in enumerate(representatives):
-                if lotteries_equal(lot, rep):
-                    node = k
+    cells: dict[int, list[int]] = {}
+
+    def node(lot: Lottery) -> int:
+        cell = math.floor(lot.probs[0] / width)
+        found = len(representatives)
+        for c in (cell - 1, cell, cell + 1):
+            for k in cells.get(c, ()):
+                if k >= found:
                     break
-            if node is None:
-                node = len(representatives)
-                representatives.append(lot)
-            row.append(node)
-        ids.append(tuple(row))
-    return ids
+                if lotteries_equal(lot, representatives[k]):
+                    found = k
+                    break
+        if found == len(representatives):
+            representatives.append(lot)
+            cells.setdefault(cell, []).append(found)
+        return found
+
+    return [(node(w), node(l)) for w, l in dataset.pairs]
 
 
 def _find_cycles(edge_ids: list[tuple[int, int]]) -> list[list[int]]:
@@ -210,7 +222,11 @@ def validate_dataset(dataset: PrefDataset) -> ValidationReport:
 
 
 def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> Report:
-    """Every winner must beat its loser by at least ``margin`` in EU."""
+    """Every winner must beat its loser by at least ``margin`` in EU.
+
+    ``margin`` is read in the dataset's mode, so it is exact in rational mode.
+    """
+    margin = coerce_number(margin, dataset.space.mode)
 
     def test(index, pair):
         winner, loser = pair
@@ -242,6 +258,12 @@ def fit_reward_model(
     fit re-checked at the requested margin before it is returned. If
     normalization eats too much of the achieved margin, training resumes at
     a doubled internal margin within the same epoch budget.
+
+    ``margin`` is read in the dataset's mode, so it is exact in rational
+    mode. There every lottery is put over one common denominator ``D``: the
+    diffs are int vectors, the weights are ``W/D`` with ``W`` an int vector,
+    and a score ``sum(W*d)/D**2`` is compared with the margin as an integer
+    inequality.
     """
     report = validate_dataset(dataset)
     if report.direct_contradictions or report.cycles:
@@ -250,33 +272,53 @@ def fit_reward_model(
             f"{len(report.direct_contradictions)} contradictions, {len(report.cycles)} cycles"
         )
     space = dataset.space
+    margin = coerce_number(margin, space.mode)
     zero, one = space.zero(), space.one()
     if not dataset.pairs:
         return RewardModel(UtilityFunction(space, tuple([zero] * space.size)))
 
-    diffs = [
-        tuple(w - l for w, l in zip(winner.probs, loser.probs))
-        for winner, loser in dataset.pairs
-    ]
-    weights = [zero] * space.size
+    if space.exact:
+        den = math.lcm(*(lot.den for pair in dataset.pairs for lot in pair))
+        diffs = [
+            tuple(
+                a * (den // winner.den) - b * (den // loser.den)
+                for a, b in zip(winner.nums, loser.nums)
+            )
+            for winner, loser in dataset.pairs
+        ]
+        weights = [0] * space.size
+        scale = den * den
+    else:
+        diffs = [
+            tuple(w - l for w, l in zip(winner.probs, loser.probs))
+            for winner, loser in dataset.pairs
+        ]
+        weights = [zero] * space.size
     internal_margin = margin
+
+    def threshold(m):
+        # an int score sum(W*d) reaches m * D**2 iff it reaches its ceiling
+        return math.ceil(m * scale) if space.exact else m
 
     def normalized_model() -> RewardModel:
         lo, hi = min(weights), max(weights)
         if hi == lo:
             values = tuple([zero] * space.size)
+        elif space.exact:
+            values = tuple(Fraction(w - lo, hi - lo) for w in weights)
         else:
             spread = hi - lo
             values = tuple((w - lo) / spread for w in weights)
         return RewardModel(UtilityFunction(space, values))
 
     epochs = 0
+    bar = threshold(internal_margin)
     while epochs < max_epochs:
         epochs += 1
         updates = 0
         for diff in diffs:
-            score = sum(w * d for w, d in zip(weights, diff) if d)
-            if not score >= internal_margin:
+            score = sum(map(operator.mul, weights, diff))
+            if not score >= bar:
                 weights = [w + d for w, d in zip(weights, diff)]
                 updates += 1
         if updates == 0:
@@ -285,6 +327,7 @@ def fit_reward_model(
                 return candidate
             # normalization shrank the slack below the requested margin
             internal_margin = internal_margin * 2 if internal_margin > 0 else one
+            bar = threshold(internal_margin)
     candidate = normalized_model()
     violations = []
     for index, (winner, loser) in enumerate(dataset.pairs):

@@ -62,14 +62,25 @@ def coerce_number(value, mode: str) -> Numeric:
     Bools, None, containers, values that do not fit the mode and strings
     with a decimal exponent beyond ``MAX_EXPONENT`` in magnitude raise
     ``ValueError``.
+
+    A string of decimal digits, or two of them around one ``/``, is read
+    with ``int()`` directly; the result equals ``Fraction(value)`` or
+    ``float(Fraction(value))``, since int division is correctly rounded.
     """
-    if isinstance(value, bool) or not isinstance(value, (Fraction, int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (str, Fraction, int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(f"exponent of {value!r} is beyond ±{MAX_EXPONENT}")
     try:
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                n, d = int(num), int(den) if slash else 1
+                if mode == RATIONAL:
+                    return Fraction(n, d)
+                if mode == FLOAT and d:
+                    return n / d
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ValueError(f"exponent of {value!r} is beyond ±{MAX_EXPONENT}")
         if mode == RATIONAL:
             if isinstance(value, Fraction):
                 return value

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vnm import (
     OutcomeSpace,
@@ -19,6 +21,7 @@ from vnm import (
     degenerate,
     fit_reward_model,
     lotteries_equal,
+    mix,
     model_fits_data,
     model_from_json,
     model_to_json,
@@ -27,6 +30,7 @@ from vnm import (
     sampling,
     validate_dataset,
 )
+from vnm.dataset import FLOAT_EQUALITY_TOL, _canonical_ids, _find_cycles
 from vnm.errors import Infeasible, PreconditionViolated, SpaceMismatch
 
 SPACE3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -168,6 +172,20 @@ class TestFit:
         assert exc.value.max_epochs == 60
         assert exc.value.worst  # names the pairs that cannot be satisfied
 
+    def test_default_margin_is_exact_in_rational_mode(self):
+        space = OutcomeSpace(("a", "b"))
+        a, b = degenerate(space, "a"), degenerate(space, "b")
+        mid = new_lottery(space, ("1/2", "1/2"))
+        data = PrefDataset(space, ((mid, a), (mid, b)))
+        with pytest.raises(Infeasible) as exc:
+            fit_reward_model(data, max_epochs=5)
+        assert exc.value.worst == [
+            {"index": 0, "shortfall": "1/1000"},
+            {"index": 1, "shortfall": "1/1000"},
+        ]
+        check = model_fits_data(RewardModel(new_utility(space, (1, 0))), data, margin=1e-3)
+        assert check.witness["margin"] == "1/1000"
+
     def test_fit_witness_on_failure(self):
         u = new_utility(SPACE3, (0, Fraction(1, 2), 1))
         data = make([(deg("x1"), deg("x3"))])
@@ -207,3 +225,146 @@ class TestJson:
         model = RewardModel(new_utility(SPACE3, (1, Fraction(1, 2), 0)))
         again = model_from_json(model_to_json(model))
         assert again == model
+
+
+def reference_ids(dataset):
+    """The quadratic first-match grouping: each lottery joins the first
+    earlier representative within FLOAT_EQUALITY_TOL in every entry."""
+    representatives, ids = [], []
+    for pair in dataset.pairs:
+        row = []
+        for lot in pair:
+            node = next(
+                (
+                    k
+                    for k, rep in enumerate(representatives)
+                    if all(abs(a - b) <= FLOAT_EQUALITY_TOL for a, b in zip(lot.probs, rep.probs))
+                ),
+                None,
+            )
+            if node is None:
+                node = len(representatives)
+                representatives.append(lot)
+            row.append(node)
+        ids.append(tuple(row))
+    return ids
+
+
+FSPACE3 = OutcomeSpace(("a", "b", "c"), mode="float")
+CELL = 2 * FLOAT_EQUALITY_TOL
+# perturbations around the tolerance, in units of 1e-12
+STEPS = [sign * x for x in (0, 0.5, 1, 1.5, 2, 3) for sign in (1, -1)]
+
+
+@st.composite
+def near_duplicate_dataset(draw):
+    """Float lotteries whose first entries sit on cell boundaries, each copy
+    moved by 0 to 3 tolerances in its first two entries (the third absorbs it)."""
+    bases = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = draw(st.sampled_from([2, 3, 7, round(0.25 / CELL), round(0.5 / CELL)])) * CELL
+        second = draw(st.sampled_from([0.125, 0.25, 0.375]))
+        bases.append((first, second))
+    lotteries = []
+    for _ in range(draw(st.integers(2, 10))):
+        first, second = draw(st.sampled_from(bases))
+        d0, d1 = (draw(st.sampled_from(STEPS)) * 1e-12 for _ in range(2))
+        probs = (first + d0, second + d1, (1 - first - second) - d0 - d1)
+        lotteries.append(new_lottery(FSPACE3, probs))
+    index = st.integers(0, len(lotteries) - 1)
+    pairs = [
+        (lotteries[draw(index)], lotteries[draw(index)])
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return PrefDataset(FSPACE3, tuple(pairs))
+
+
+class TestFloatIdentity:
+    """Bucketed float identity against the quadratic first-match scan."""
+
+    @given(near_duplicate_dataset())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_quadratic_reference(self, data):
+        ids = reference_ids(data)
+        assert _canonical_ids(data) == ids
+        report = validate_dataset(data)
+        assert report.distinct_lotteries == len({n for edge in ids for n in edge})
+        assert report.direct_contradictions == [
+            (i, j)
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+            if ids[i] == ids[j][::-1]
+        ]
+        assert report.cycles == _find_cycles(ids)
+
+
+def reference_fit(dataset, margin, max_epochs):
+    """The Fraction perceptron: the fitted values, or (max_epochs, worst)."""
+    margin = Fraction(margin)
+    pairs = [(w.probs, l.probs) for w, l in dataset.pairs]
+    diffs = [tuple(a - b for a, b in zip(w, l)) for w, l in pairs]
+    weights = [Fraction(0)] * dataset.space.size
+    internal = margin
+
+    def normalized():
+        lo, hi = min(weights), max(weights)
+        return tuple(Fraction(0) if hi == lo else (w - lo) / (hi - lo) for w in weights)
+
+    def shortfalls(values):
+        def eu(probs):
+            return sum(p * v for p, v in zip(probs, values))
+
+        return [(eu(l) + margin - eu(w), i) for i, (w, l) in enumerate(pairs)]
+
+    for _ in range(max_epochs):
+        updates = 0
+        for diff in diffs:
+            if not sum(w * d for w, d in zip(weights, diff)) >= internal:
+                weights = [w + d for w, d in zip(weights, diff)]
+                updates += 1
+        if updates == 0:
+            values = normalized()
+            if all(s <= 0 for s, _ in shortfalls(values)):
+                return values
+            internal = internal * 2 if internal > 0 else Fraction(1)
+    violated = sorted((t for t in shortfalls(normalized()) if t[0] > 0), key=lambda t: (-t[0], t[1]))
+    return max_epochs, [{"index": i, "shortfall": str(s)} for s, i in violated[:5]]
+
+
+@st.composite
+def acyclic_rational_dataset(draw):
+    """Distinct lotteries with mixed denominators, pairs only forward in a random order."""
+    n = draw(st.integers(2, 4))
+    space = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+    weights = st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any)
+    pool = {}
+    for w in draw(st.lists(weights, min_size=2, max_size=6)):
+        lot = new_lottery(space, [Fraction(x, sum(w)) for x in w])
+        pool.setdefault(lot.key, lot)
+    assume(len(pool) >= 2)
+    lots = draw(st.permutations(list(pool.values())))
+    if len(lots) >= 3 and draw(st.booleans()):
+        # a midpoint recorded above both its components: consistent, never fittable
+        mid = mix(lots[0], lots[1], Fraction(1, 2))
+        if mid.key not in pool:
+            lots = [mid] + lots
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        i = draw(st.integers(0, len(lots) - 2))
+        pairs.append((lots[i], lots[draw(st.integers(i + 1, len(lots) - 1))]))
+    margin = draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 20)]))
+    return PrefDataset(space, tuple(pairs)), margin, draw(st.integers(1, 40))
+
+
+class TestIntegerPerceptron:
+    """The int perceptron of rational mode against the Fraction one."""
+
+    @given(acyclic_rational_dataset())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        data, margin, max_epochs = case
+        try:
+            got = fit_reward_model(data, margin=margin, max_epochs=max_epochs).utility.values
+        except Infeasible as exc:
+            got = (exc.max_epochs, exc.worst)
+        assert got == reference_fit(data, margin, max_epochs)

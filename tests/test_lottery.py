@@ -356,3 +356,51 @@ class TestIntegerCore:
             for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}", "1e999999999"):
                 with pytest.raises(ValueError):
                     coerce_number(text, mode)
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth decimal digits: str.isdecimal,
+# int() and the \d of Fraction's parser all accept them
+DIGITS = "0123456789" + "٠١٢٣٤٥٦٧٨٩" + "०१२३४५६७८९" + "０１２３４５６７８９"
+
+
+@st.composite
+def numeric_text(draw):
+    """``"n"`` or ``"n/d"`` with leading zeros, long parts, zero denominators
+    and a few strings the plain-digit reading must leave to the full parser."""
+    part = st.one_of(
+        st.text(DIGITS, min_size=1, max_size=6),
+        st.text("0", min_size=1, max_size=3).map(lambda z: z + "7"),
+        st.text(DIGITS, min_size=400, max_size=400),
+        st.sampled_from(["0", "00", "1", "1²", "①"]),  # digits, but not decimal ones
+    )
+    text = draw(st.one_of(part, st.tuples(part, part).map("/".join)))
+    return draw(
+        st.sampled_from(
+            [text, text, text, "-" + text, " " + text, text + "/", "/" + text, text + "e2"]
+        )
+    )
+
+
+class TestCoerceNumberParity:
+    """Strings read as ``Fraction(s)`` reads them, or fail the same way."""
+
+    @given(numeric_text(), st.sampled_from([RATIONAL, FLOAT]))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_matches_fraction_parser(self, text, mode):
+        try:
+            expected = Fraction(text)
+            if mode == FLOAT:
+                expected = float(expected)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            with pytest.raises(ValueError) as err:
+                coerce_number(text, mode)
+            assert str(exc) in str(err.value)
+            return
+        got = coerce_number(text, mode)
+        assert type(got) is type(expected) and got == expected
+
+    @pytest.mark.parametrize("text", ["0/0", "7/0", "007/000"])
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_zero_denominator_is_a_value_error(self, text, mode):
+        with pytest.raises(ValueError, match=r"cannot read .*Fraction\(\d+, 0\)"):
+            coerce_number(text, mode)
