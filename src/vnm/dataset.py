@@ -6,26 +6,34 @@ the two ways such data can contradict itself: the same pair recorded in
 both directions, and longer strict-preference cycles. Cycle detection goes
 beyond pairwise contradiction checking and is reported as such.
 
+Decoding reads each probability once: ``"n/d"`` strings become ints and a
+rational lottery is built from them without a ``Fraction``.
+
 Lottery identity is exact on ``(nums, den)`` in rational mode. In float
 mode a lottery joins the first earlier lottery within ``FLOAT_EQUALITY_TOL``
 in every entry; a dict of cells keyed on the first entry finds it in linear
-expected time.
+expected time. A dataset works out this identity graph (node ids, distinct
+count, contradictions and cycles) once, on first use, and keeps it, so
+validating and then fitting it builds the graph once.
 
 Fitting searches for a utility whose expected-utility ranking reproduces
 every pair at a requested margin, via perceptron-style additive updates on
 the winner-minus-loser probability vectors. A linear-programming solver
 would do the same job; the iterative rule keeps this module dependency-free.
-In rational mode the updates run on ints over one common denominator, and
-the margin is read exactly (``1e-3`` means 1/1000).
+In rational mode the updates, and the re-check of the normalised result,
+run on ints over one common denominator, and the margin is read exactly
+(``1e-3`` means 1/1000).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .errors import Infeasible, PreconditionViolated, SpaceMismatch
 from .jsonio import (
@@ -44,9 +52,22 @@ from .preference import Report, UtilityOracle, run_check
 FLOAT_EQUALITY_TOL = 1e-12
 
 
+class _Graph(NamedTuple):
+    """A dataset's lotteries as nodes under dataset identity, its pairs as edges."""
+
+    edges: tuple[tuple[int, int], ...]  # (winner_node, loser_node) per pair
+    distinct: int
+    contradictions: tuple[tuple[int, int], ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class PrefDataset:
-    """Recorded strict preferences: in every pair the winner beat the loser."""
+    """Recorded strict preferences: in every pair the winner beat the loser.
+
+    The identity graph that validation and fitting read is worked out on
+    first use and kept, so it is built once per dataset.
+    """
 
     space: OutcomeSpace
     pairs: tuple[tuple[Lottery, Lottery], ...]
@@ -59,6 +80,25 @@ class PrefDataset:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def _graph(self) -> _Graph:
+        edges = tuple(_canonical_ids(self))
+        by_edge: dict[tuple[int, int], list[int]] = {}
+        for i, edge in enumerate(edges):
+            by_edge.setdefault(edge, []).append(i)
+        contradictions = tuple(
+            (i, j)
+            for i, (src, dst) in enumerate(edges)
+            for j in by_edge.get((dst, src), ())
+            if i < j
+        )
+        return _Graph(
+            edges,
+            len({n for edge in edges for n in edge}),
+            contradictions,
+            tuple(map(tuple, _find_cycles(edges))),
+        )
 
 
 @dataclass(frozen=True)
@@ -197,27 +237,16 @@ def validate_dataset(dataset: PrefDataset) -> ValidationReport:
     """Report coverage, direct contradictions, and preference cycles.
 
     A 2-cycle is a direct contradiction and shows up in both lists; the two
-    detectors are independent on purpose.
+    detectors are independent on purpose. Each call returns a new report
+    built from the dataset's kept identity graph.
     """
-    edge_ids = _canonical_ids(dataset)
-    distinct = len({n for edge in edge_ids for n in edge})
-
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for i, edge in enumerate(edge_ids):
-        by_edge.setdefault(edge, []).append(i)
-    contradictions: list[tuple[int, int]] = []
-    for i, (src, dst) in enumerate(edge_ids):
-        for j in by_edge.get((dst, src), ()):
-            if i < j:
-                contradictions.append((i, j))
-
-    cycles = _find_cycles(edge_ids)
+    graph = dataset._graph
     return ValidationReport(
         nonempty=len(dataset.pairs) > 0,
         pair_count=len(dataset.pairs),
-        distinct_lotteries=distinct,
-        direct_contradictions=contradictions,
-        cycles=cycles,
+        distinct_lotteries=graph.distinct,
+        direct_contradictions=list(graph.contradictions),
+        cycles=[list(c) for c in graph.cycles],
     )
 
 
@@ -246,6 +275,21 @@ def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> Repor
     return run_check("fit", None, enumerate(dataset.pairs), test)
 
 
+def _normalized_fits(weights: list[int], diffs: list[tuple[int, ...]], den: int, margin) -> bool:
+    """``model_fits_data`` of the min-max normalised int weights, on ints.
+
+    ``diffs`` are the winner-minus-loser vectors over the common denominator
+    ``den``. With ``u = (W - lo) / (hi - lo)`` and every diff summing to zero,
+    a pair's EU gap is ``sum(W*d) / ((hi - lo) * den)``. Constant weights
+    normalise to the zero utility, whose gaps are all zero.
+    """
+    lo, hi = min(weights), max(weights)
+    if hi == lo:
+        return margin <= 0 or not diffs
+    need = math.ceil(margin * (hi - lo) * den)
+    return all(sum(map(operator.mul, weights, diff)) >= need for diff in diffs)
+
+
 def fit_reward_model(
     dataset: PrefDataset, margin=1e-3, max_epochs: int = 10000
 ) -> RewardModel:
@@ -263,13 +307,13 @@ def fit_reward_model(
     mode. There every lottery is put over one common denominator ``D``: the
     diffs are int vectors, the weights are ``W/D`` with ``W`` an int vector,
     and a score ``sum(W*d)/D**2`` is compared with the margin as an integer
-    inequality.
+    inequality. The re-check of a converged ``W`` runs on the same ints.
     """
-    report = validate_dataset(dataset)
-    if report.direct_contradictions or report.cycles:
+    graph = dataset._graph
+    if graph.contradictions or graph.cycles:
         raise PreconditionViolated(
             "dataset is inconsistent: "
-            f"{len(report.direct_contradictions)} contradictions, {len(report.cycles)} cycles"
+            f"{len(graph.contradictions)} contradictions, {len(graph.cycles)} cycles"
         )
     space = dataset.space
     margin = coerce_number(margin, space.mode)
@@ -322,9 +366,12 @@ def fit_reward_model(
                 weights = [w + d for w, d in zip(weights, diff)]
                 updates += 1
         if updates == 0:
-            candidate = normalized_model()
-            if model_fits_data(candidate, dataset, margin).passed:
-                return candidate
+            if (
+                _normalized_fits(weights, diffs, den, margin)
+                if space.exact
+                else model_fits_data(normalized_model(), dataset, margin).passed
+            ):
+                return normalized_model()
             # normalization shrank the slack below the requested margin
             internal_margin = internal_margin * 2 if internal_margin > 0 else one
             bar = threshold(internal_margin)

@@ -221,17 +221,16 @@ def verify_representation(
     For each pair, ``pref(p, q)`` must hold exactly when ``EU(p) >= EU(q) -
     tol``, in both query orientations. Pairs whose expected utilities were
     within ``tol`` of each other cannot be adjudicated that way; they are
-    skipped, compared for oracle indifference instead, and reported under
-    ``details`` without affecting the verdict.
+    counted in ``skipped`` and compared for oracle indifference instead, and
+    disagreements are listed under ``details`` without affecting the verdict.
     """
-    details: dict = {"near_ties": 0}
+    details: dict = {}
 
     def test(index, pair):
         p, q = pair
         eu_p = expected_utility(p, utility)
         eu_q = expected_utility(q, utility)
         if abs(eu_p - eu_q) <= tol:
-            details["near_ties"] += 1
             c = compare(oracle, p, q)
             if c is not Comparison.INDIFFERENT:
                 details.setdefault("tie_disagreements", []).append(

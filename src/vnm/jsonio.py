@@ -13,10 +13,13 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .lottery import (
+    FLOAT,
+    RATIONAL,
     Lottery,
     OutcomeSpace,
     UtilityFunction,
@@ -61,17 +64,25 @@ def lottery_from_json(obj, space: OutcomeSpace | None = None, mode: str | None =
     if not isinstance(obj.get("probs"), list):
         raise ValueError('lottery object needs a "probs" array')
     if "space" in obj:
-        declared = space_from_json(obj["space"], mode or (space.mode if space else "rational"))
-        if space is not None and declared.labels != space.labels:
-            raise ValueError(
-                f"lottery space {list(declared.labels)} does not match expected {list(space.labels)}"
-            )
-        target = space if space is not None else declared
-    elif space is not None:
-        target = space
-    else:
+        labels = obj["space"]
+        # the usual case, labels equal to the expected ones, builds no OutcomeSpace
+        if not (
+            space is not None
+            and mode in (None, RATIONAL, FLOAT)
+            and isinstance(labels, list)
+            and tuple(labels) == space.labels
+            and all(map(str.__instancecheck__, labels))  # as space_from_json requires
+        ):
+            declared = space_from_json(labels, mode or (space.mode if space else RATIONAL))
+            if space is None:
+                space = declared
+            elif declared.labels != space.labels:
+                raise ValueError(
+                    f"lottery space {list(declared.labels)} does not match expected {list(space.labels)}"
+                )
+    elif space is None:
         raise ValueError('lottery object needs a "space" array')
-    return new_lottery(target, obj["probs"])
+    return new_lottery(space, obj["probs"])
 
 
 def utility_to_json(u: UtilityFunction) -> dict:

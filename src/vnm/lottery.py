@@ -244,8 +244,55 @@ class Lottery:
 
 
 def new_lottery(space: OutcomeSpace, probs: Iterable) -> Lottery:
-    """Build a lottery, coercing each entry to the space's arithmetic mode."""
-    return Lottery(space, tuple(coerce_number(v, space.mode) for v in probs))
+    """Build a lottery, coercing each entry to the space's arithmetic mode.
+
+    One pass reads every entry. In rational mode a string of decimal digits,
+    or two of them around one ``/`` with a nonzero denominator, becomes the
+    ints ``(n, d)`` at once; any other value, and every value in float mode,
+    goes through :func:`coerce_number`, which reads such a string as
+    ``n / d``. Rational mode then checks the sum on ints over one common
+    denominator and builds no ``Fraction``. The result and every error equal
+    those of ``Lottery(space, [coerce_number(v, mode) for v in probs])``.
+    """
+    exact = space.exact
+    nums: list = []  # float mode: the entries themselves
+    dens: list[int] = []
+    bad = None  # (index, value) of the first negative or non-finite entry
+    for v in probs:
+        if exact and isinstance(v, str):
+            num, slash, den = v.partition("/")
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                n, d = int(num), int(den) if slash else 1
+                if d:
+                    nums.append(n)
+                    dens.append(d)
+                    continue
+        x = coerce_number(v, space.mode)
+        if not 0 <= x < math.inf and bad is None:
+            bad = (len(nums), x)
+        if exact:
+            nums.append(x.numerator)
+            dens.append(x.denominator)
+        else:
+            nums.append(x)
+    if len(nums) != space.size:
+        raise LengthMismatch(space.size, len(nums))
+    if bad is not None:
+        i, x = bad
+        raise (NegativeProbability if x < 0 else NonFiniteProbability)(i, x)
+    if not exact:
+        total = sum(nums)
+        if not abs(total - 1.0) <= FLOAT_SUM_TOL:
+            raise SumNotOne(total)
+        lot = object.__new__(Lottery)
+        lot.__dict__.update(space=space, probs=tuple(nums), nums=None, den=None)
+        return lot
+    den = math.lcm(*dens)
+    nums = [n * (den // d) for n, d in zip(nums, dens)]
+    total = sum(nums)
+    if total != den:
+        raise SumNotOne(Fraction(total, den))
+    return Lottery._exact(space, tuple(nums), den)
 
 
 def degenerate(space: OutcomeSpace, label: str) -> Lottery:

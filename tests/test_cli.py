@@ -548,6 +548,46 @@ def test_cli_contract_on_fuzzed_json(case, mode):
         json.loads(out.getvalue())
 
 
+# NaN, negative, overflowing, fractional, empty and 30-digit flag values
+ODD_FLAG_VALUES = ["nan", "-1", "1e400", "1/3", "", str(10**29 + 7), str(-(10**29))]
+# per command, each flag with values it accepts
+FLAGS = {
+    "validate-dataset": {"--mode": ["rational", "float"]},
+    "fit-model": {"--mode": ["rational", "float"], "--margin": ["0", "0.05"], "--max-epochs": ["0", "50"]},
+    "elicit": {"--mode": ["rational", "float"], "--tol": ["0.01", "0.5"], "--max-iter": ["0", "40"]},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=st.sampled_from(sorted(FLAGS)), data=st.data())
+def test_cli_contract_on_fuzzed_flags(command, data):
+    flags = {}
+    for flag, valid in FLAGS[command].items():
+        value = data.draw(st.sampled_from([None] * 3 + valid * 3 + ODD_FLAG_VALUES))
+        if value is not None:
+            flags[flag] = value
+    # a 30-digit margin needs about 1e29 perceptron updates: keep the default epoch cap
+    if flags.get("--margin", "").isdigit() and flags.get("--max-epochs", "").isdigit():
+        del flags["--max-epochs"]
+    payload = CITY_U if command == "elicit" else ab_dataset((("1", "0"), ("1/2", "1/2")), (("1/2", "1/2"), ("0", "1")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = file_argv(command, path) + [x for item in flags.items() for x in item]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())
+
+
 BAD_COMMANDS = {
     "missing_executable": "/nonexistent/comparator",
     "unbalanced_quote": '"unclosed',

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ from vnm import (
     sampling,
     validate_dataset,
 )
-from vnm.dataset import FLOAT_EQUALITY_TOL, _canonical_ids, _find_cycles
+import vnm.dataset
+from vnm.dataset import FLOAT_EQUALITY_TOL, _canonical_ids, _find_cycles, _normalized_fits
 from vnm.errors import Infeasible, PreconditionViolated, SpaceMismatch
 
 SPACE3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -368,3 +370,80 @@ class TestIntegerPerceptron:
         except Infeasible as exc:
             got = (exc.max_epochs, exc.worst)
         assert got == reference_fit(data, margin, max_epochs)
+
+
+class TestValidateOnce:
+    """The identity graph is worked out once per dataset; reports stay fresh."""
+
+    def test_reports_are_equal_but_distinct(self):
+        a, b, c = deg("x1"), deg("x2"), deg("x3")
+        data = make([(a, b), (b, a), (b, c), (c, a)])
+        first = validate_dataset(data)
+        assert first.direct_contradictions and first.cycles
+        expected = validate_dataset(make(data.pairs))
+        first.direct_contradictions.append((7, 8))
+        first.cycles[0].append(9)
+        first.cycles.append([9])
+        second = validate_dataset(data)
+        assert second is not first and second == expected
+
+    def test_fit_reads_the_graph_validation_built(self, monkeypatch):
+        calls = []
+
+        def counted(dataset):
+            calls.append(dataset)
+            return _canonical_ids(dataset)
+
+        monkeypatch.setattr(vnm.dataset, "_canonical_ids", counted)
+        data = make([(deg("x1"), deg("x2")), (deg("x2"), deg("x3"))])
+        assert validate_dataset(data).consistent
+        fit_reward_model(data, margin=Fraction(1, 20))
+        assert len(calls) == 1
+
+
+@st.composite
+def weights_case(draw):
+    """A consistent rational dataset, int weights (constant ones too) and a margin."""
+    data, _, _ = draw(acyclic_rational_dataset())
+    n = data.space.size
+    weights = draw(
+        st.one_of(
+            st.integers(-50, 50).map(lambda w: [w] * n),
+            st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+        )
+    )
+    margin = draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 20), Fraction(-1, 20)]))
+    return data, weights, margin
+
+
+class TestIntegerRecheck:
+    """The rational re-check on ints against ``model_fits_data`` on the normalised model."""
+
+    @staticmethod
+    def expected(data, weights, margin):
+        lo, hi = min(weights), max(weights)
+        values = [0 if hi == lo else Fraction(w - lo, hi - lo) for w in weights]
+        model = RewardModel(new_utility(data.space, values))
+        return model_fits_data(model, data, margin).passed
+
+    @staticmethod
+    def ints(data):
+        den = math.lcm(*(lot.den for pair in data.pairs for lot in pair))
+        diffs = [
+            tuple(int((a - b) * den) for a, b in zip(w.probs, l.probs)) for w, l in data.pairs
+        ]
+        return diffs, den
+
+    @given(weights_case())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_model_fits_data(self, case):
+        data, weights, margin = case
+        diffs, den = self.ints(data)
+        assert _normalized_fits(weights, diffs, den, margin) == self.expected(data, weights, margin)
+
+    @pytest.mark.parametrize("margin, passes", [(Fraction(0), True), (Fraction(1, 20), False)])
+    def test_constant_weights_are_the_zero_utility(self, margin, passes):
+        data = make([(deg("x1"), deg("x2")), (deg("x2"), deg("x3"))])
+        diffs, den = self.ints(data)
+        assert self.expected(data, [4, 4, 4], margin) is passes
+        assert _normalized_fits([4, 4, 4], diffs, den, margin) is passes

@@ -183,7 +183,7 @@ class TestVerifyRepresentation:
         ]
         report = verify_representation(o, u, pairs)
         assert report.passed
-        assert report.checked + report.details["near_ties"] == 200
+        assert report.checked + report.skipped == 200
 
     def test_reversed_ranking_fails_with_witness(self):
         o = UtilityOracle(new_utility(SPACE3, (0, "0.7", 1)))
@@ -196,13 +196,13 @@ class TestVerifyRepresentation:
 
     def test_near_ties_reported_separately(self):
         # candidate puts the pair within tol, the oracle disagrees strictly:
-        # diagnosed in details, but not a verdict failure
+        # skipped and diagnosed in details, but not a verdict failure
         candidate = new_utility(SPACE3, (Fraction(1, 10**12), 0, 0))
         o = UtilityOracle(new_utility(SPACE3, (1, 0, 0)))
         pairs = [(degenerate(SPACE3, "x1"), degenerate(SPACE3, "x2"))]
         report = verify_representation(o, candidate, pairs, tol=TOL)
         assert report.passed
-        assert report.details["near_ties"] == 1
+        assert report.skipped == 1
         assert len(report.details["tie_disagreements"]) == 1
 
     def test_exact_tie_agreement_counts_clean(self):
@@ -211,5 +211,5 @@ class TestVerifyRepresentation:
         pairs = [(degenerate(SPACE3, "x1"), degenerate(SPACE3, "x2"))]
         report = verify_representation(o, u, pairs)
         assert report.passed
-        assert report.details["near_ties"] == 1
+        assert report.skipped == 1
         assert "tie_disagreements" not in report.details

@@ -404,3 +404,141 @@ class TestCoerceNumberParity:
     def test_zero_denominator_is_a_value_error(self, text, mode):
         with pytest.raises(ValueError, match=r"cannot read .*Fraction\(\d+, 0\)"):
             coerce_number(text, mode)
+
+
+def reference_lottery(space, probs):
+    """The two-step decode: coerce every entry, then the validating constructor."""
+    return Lottery(space, tuple(coerce_number(v, space.mode) for v in probs))
+
+
+def decoded(build, space, probs):
+    """``(nums, den, probs, key)`` of the built lottery, or its error's type and message."""
+    try:
+        p = build(space, probs)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return p.nums, p.den, p.probs, p.key
+
+
+# entries a caller or a JSON file may hand over, valid or not
+ODD_ENTRY = st.one_of(
+    numeric_text(),
+    st.sampled_from(DIGITS).map(lambda c: c * 4400),
+    st.sampled_from(["1/" + "1" * 4400, "1" * 400 + "/1", "1e99999", "0.25", "", "x"]),
+    st.integers(-3, 3),
+    st.integers(10**400, 10**400 + 1),
+    st.fractions(min_value=-2, max_value=2, max_denominator=50),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -0.25, Fraction(-1, 4), "-1/4"]),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def decode_case(draw):
+    """A space of 1-4 outcomes and entries: a lottery written in mixed forms, then perturbed."""
+    n = draw(st.integers(1, 4))
+    space = OutcomeSpace(tuple(f"x{i}" for i in range(n)), draw(st.sampled_from([RATIONAL, FLOAT])))
+    weights = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any))
+    total, scale = sum(weights), draw(st.integers(1, 3))
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+    def written(w):
+        forms = [
+            f"{w * scale}/{total * scale}",
+            f"00{w}/{total}".translate(arabic),
+            Fraction(w, total),
+            float(Fraction(w, total)),
+        ]
+        if w in (0, total):
+            forms += [str(w // total), w // total]
+        return draw(st.sampled_from(forms))
+
+    probs = [written(w) for w in weights]
+    for _ in range(draw(st.integers(0, 2))):
+        probs[draw(st.integers(0, n - 1))] = draw(ODD_ENTRY)
+    change = draw(st.sampled_from(["none", "none", "none", "none", "append", "drop"]))
+    if change == "append":
+        probs.append(draw(st.one_of(st.just("0"), ODD_ENTRY)))
+    elif change == "drop":
+        probs.pop()
+    return space, probs
+
+
+class TestDecodeParity:
+    """``new_lottery``'s one pass against coercing each entry, then ``Lottery``."""
+
+    @given(decode_case())
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_matches_two_step_reference(self, case):
+        space, probs = case
+        assert decoded(new_lottery, space, probs) == decoded(reference_lottery, space, probs)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            ["1/2", "1/2", "0", "0"],  # wrong length
+            ["1/2", "x", "1/2", "0"],  # a bad entry outranks the wrong length
+            ["1/2", Fraction(-1, 2), "1", float("nan")],  # the first bad index is named
+            ["1/2", float("inf"), "1/2"],
+            [float("nan"), "1", "0"],
+            ["1/3", "1/3", "1/4"],  # a sum other than one
+            ["1/0", "1", "0"],
+            ["1" * 400 + "/1", "0", "0"],  # too large for a float
+            [True, 0, 0],
+            [None, 1, 0],
+        ],
+    )
+    def test_errors_match_reference(self, probs, mode):
+        space = OutcomeSpace(SPACE3.labels, mode)
+        expected = decoded(reference_lottery, space, probs)
+        assert isinstance(expected[0], type) and issubclass(expected[0], Exception)
+        assert decoded(new_lottery, space, probs) == expected
+
+
+class TestLotteryFromJsonSpace:
+    """A lottery's own labels are checked against an expected space."""
+
+    SPACE = OutcomeSpace(("a", "b"))
+
+    @pytest.mark.parametrize("mode", [None, RATIONAL, FLOAT])
+    def test_equal_labels_decode_on_the_expected_space(self, mode):
+        p = jsonio.lottery_from_json({"space": ["a", "b"], "probs": ["1/4", "3/4"]}, self.SPACE, mode)
+        assert p.space is self.SPACE and (p.nums, p.den) == ((1, 3), 4)
+
+    @pytest.mark.parametrize("labels", [["b", "a"], ["a"], ["a", "b", "c"]])
+    def test_other_labels_are_a_mismatch(self, labels):
+        obj = {"space": labels, "probs": ["1"] + ["0"] * (len(labels) - 1)}
+        message = f"lottery space {labels} does not match expected ['a', 'b']"
+        with pytest.raises(ValueError) as err:
+            jsonio.lottery_from_json(obj, self.SPACE)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("ab", "space must be a JSON array of outcome labels"),
+            (("a", "b"), "space must be a JSON array of outcome labels"),
+            (["a", 1], "space must be a JSON array of outcome labels"),
+            ([None, "b"], "space must be a JSON array of outcome labels"),
+            (["a", "a"], "outcome labels must be distinct"),
+            ([], "outcome space needs at least one outcome"),
+        ],
+    )
+    def test_bad_labels_keep_their_error(self, labels, message):
+        with pytest.raises(ValueError) as err:
+            jsonio.lottery_from_json({"space": labels, "probs": ["1", "0"]}, self.SPACE)
+        assert str(err.value) == message
+
+    def test_labels_that_are_not_strings_keep_their_error(self):
+        space = OutcomeSpace((1, 2))
+        with pytest.raises(ValueError, match="space must be a JSON array of outcome labels"):
+            jsonio.lottery_from_json({"space": [1, 2], "probs": ["1", "0"]}, space)
+
+    def test_invalid_mode_keeps_its_error(self):
+        obj = {"space": ["a", "b"], "probs": ["1", "0"]}
+        with pytest.raises(ValueError) as err:
+            jsonio.lottery_from_json(obj, self.SPACE, mode="decimal")
+        assert str(err.value) == "mode must be 'rational' or 'float', got 'decimal'"
