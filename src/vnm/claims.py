@@ -9,11 +9,12 @@ The lemmas, identified here by the roman numerals I through V:
 * V: for p >= q >= r with p > r there is exactly one weight a* making
   mix(p, r, a*) indifferent to q.
 
-Claims I through IV are spot-checked on sampled tuples. Claim V is checked
-constructively: bisection locates the weight, a closed-form expected-utility
-computation cross-checks it, and strict comparisons just above and below
-confirm uniqueness. :func:`check_claim_v` runs that check on sampled
-triples.
+Claims I through IV are spot-checked on sampled tuples in one pass that
+fills four reports. Claim V is checked constructively: bisection locates the
+weight, a closed-form expected-utility computation cross-checks it, and
+strict comparisons just above and below confirm uniqueness.
+:func:`verify_claim_v` runs that check on one triple and
+:func:`check_claim_v` on sampled triples, both through :func:`run_check`.
 """
 
 from __future__ import annotations
@@ -187,68 +188,47 @@ def verify_claim_v(
     utility-backed oracles the closed-form weight cross-checks it. Strict
     comparisons at a distance of ten tolerances on each side (where those
     weights stay inside [0, 1]) certify uniqueness: above the point the
-    mixture must beat q, below it q must win.
+    mixture must beat q, below it q must win. One :func:`run_check` call on
+    the single instance builds the report; ``details`` records the weight,
+    the iterations and every comparison made, up to the first failure.
     """
-    start = oracle.query_count
-    alpha_hat, iterations = _bisect(oracle, p, q, r, tol, max_iter)
-    details: dict = {
-        "alpha_hat": number_to_json(alpha_hat),
-        "iterations": iterations,
-    }
-    witness = None
+    details: dict = {}
 
-    replay = compare(oracle, mix(p, r, alpha_hat), q)
-    details["replay_comparison"] = replay.value
-
-    if witness is None and isinstance(oracle, UtilityOracle):
-        analytic = analytic_indifference_alpha(oracle.utility, p, q, r)
-        details["analytic_alpha"] = number_to_json(analytic)
-        if abs(alpha_hat - analytic) > tol:
-            witness = {
-                "kind": "claim_v_analytic_gap",
-                "alpha_hat": number_to_json(alpha_hat),
-                "analytic_alpha": number_to_json(analytic),
-                "tol": number_to_json(tol),
-            }
-
-    step = 10 * coerce_number(tol, p.space.mode)
-    if witness is None:
-        above = alpha_hat + step
-        if above <= 1:
-            c = compare(oracle, mix(p, r, above), q)
-            details["above_comparison"] = c.value
-            if c is not Comparison.PREFER_FIRST:
-                witness = {
-                    "kind": "claim_v_not_unique_above",
-                    "weight": number_to_json(above),
-                    "comparison": c.value,
+    def test():
+        alpha_hat, iterations = _bisect(oracle, p, q, r, tol, max_iter)
+        details.update(alpha_hat=number_to_json(alpha_hat), iterations=iterations)
+        details["replay_comparison"] = compare(oracle, mix(p, r, alpha_hat), q).value
+        if isinstance(oracle, UtilityOracle):
+            analytic = analytic_indifference_alpha(oracle.utility, p, q, r)
+            details["analytic_alpha"] = number_to_json(analytic)
+            if abs(alpha_hat - analytic) > tol:
+                return {
+                    "kind": "claim_v_analytic_gap",
+                    "alpha_hat": number_to_json(alpha_hat),
+                    "analytic_alpha": number_to_json(analytic),
+                    "tol": number_to_json(tol),
+                    **triple_to_json(p, q, r),
                 }
-        else:
-            details["above_comparison"] = "skipped"
-    if witness is None:
-        below = alpha_hat - step
-        if below >= 0:
-            c = compare(oracle, mix(p, r, below), q)
-            details["below_comparison"] = c.value
-            if c is not Comparison.PREFER_SECOND:
-                witness = {
-                    "kind": "claim_v_not_unique_below",
-                    "weight": number_to_json(below),
+        step = 10 * coerce_number(tol, p.space.mode)
+        for side, weight, expected in (
+            ("above", alpha_hat + step, Comparison.PREFER_FIRST),
+            ("below", alpha_hat - step, Comparison.PREFER_SECOND),
+        ):
+            if not 0 <= weight <= 1:
+                details[f"{side}_comparison"] = "skipped"
+                continue
+            c = compare(oracle, mix(p, r, weight), q)
+            details[f"{side}_comparison"] = c.value
+            if c is not expected:
+                return {
+                    "kind": f"claim_v_not_unique_{side}",
+                    "weight": number_to_json(weight),
                     "comparison": c.value,
+                    **triple_to_json(p, q, r),
                 }
-        else:
-            details["below_comparison"] = "skipped"
+        return None
 
-    if witness is not None:
-        witness.update(triple_to_json(p, q, r))
-    return Report(
-        name="V",
-        passed=witness is None,
-        checked=1,
-        queries_used=oracle.query_count - start,
-        witness=witness,
-        details=details,
-    )
+    return run_check("V", oracle, [()], test, details=details)
 
 
 def check_claim_v(

@@ -187,7 +187,7 @@ def cmd_recover_affine(args):
         "command": "recover-affine",
         "alpha": number_to_json(transform.alpha),
         "beta": number_to_json(transform.beta),
-        "max_residual": number_to_json(check.max_residual),
+        "max_residual": check.details["max_residual"],
         "passed": check.passed,
     }, check.passed
 
@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     Commands with oracle flags get the oracle built here and closed here
     whatever happens. Unusable input and a failing external comparator exit
     2 with a diagnostic on stderr; any other domain error becomes the
-    command's report with exit 1.
+    command's report with exit 1. A comparator that has to be killed at
+    close only adds a ``warning:`` line on stderr.
     """
     args = build_parser().parse_args(argv)
     oracle = None
@@ -380,7 +381,10 @@ def main(argv=None) -> int:
         report, passed = _error_report(args.command, exc), False
     finally:
         if isinstance(oracle, SubprocessOracle):
-            oracle.close()
+            try:
+                oracle.close()
+            except OracleFailure as exc:
+                print(f"warning: {exc}", file=sys.stderr)
     _emit(report)
     return 0 if passed else 1
 

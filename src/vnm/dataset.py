@@ -107,9 +107,6 @@ class RewardModel:
 
     utility: UtilityFunction
 
-    def pref(self, p: Lottery, q: Lottery) -> bool:
-        return expected_utility(p, self.utility) >= expected_utility(q, self.utility)
-
     def oracle(self, query_budget: Optional[int] = None) -> UtilityOracle:
         return UtilityOracle(self.utility, query_budget=query_budget)
 

@@ -53,6 +53,14 @@ _EXPONENT = re.compile(r"[eE]\s*([-+]?\d+(?:_\d+)*)\s*$")
 MAX_EXPONENT = sys.int_info.default_max_str_digits
 
 
+def _digit_ratio(text: str) -> Optional[tuple[int, int]]:
+    """``(n, d)`` for a string of decimal digits, or two of them around one ``/``."""
+    num, slash, den = text.partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        return int(num), int(den) if slash else 1
+    return None
+
+
 def coerce_number(value, mode: str) -> Numeric:
     """Convert ``value`` to the arithmetic type of ``mode``.
 
@@ -71,9 +79,8 @@ def coerce_number(value, mode: str) -> Numeric:
         raise ValueError(f"expected a number, got {value!r}")
     try:
         if isinstance(value, str):
-            num, slash, den = value.partition("/")
-            if num.isdecimal() and (den.isdecimal() or not slash):
-                n, d = int(num), int(den) if slash else 1
+            if ratio := _digit_ratio(value):
+                n, d = ratio
                 if mode == RATIONAL:
                     return Fraction(n, d)
                 if mode == FLOAT and d:
@@ -231,9 +238,6 @@ class Lottery:
 
     __delattr__ = __setattr__
 
-    def prob(self, label: str) -> Numeric:
-        return self.probs[self.space.index(label)]
-
     def support(self) -> tuple[str, ...]:
         """Labels carrying mass. Float mode ignores dust below 1e-15."""
         if self.space.exact:
@@ -259,14 +263,10 @@ def new_lottery(space: OutcomeSpace, probs: Iterable) -> Lottery:
     dens: list[int] = []
     bad = None  # (index, value) of the first negative or non-finite entry
     for v in probs:
-        if exact and isinstance(v, str):
-            num, slash, den = v.partition("/")
-            if num.isdecimal() and (den.isdecimal() or not slash):
-                n, d = int(num), int(den) if slash else 1
-                if d:
-                    nums.append(n)
-                    dens.append(d)
-                    continue
+        if exact and isinstance(v, str) and (ratio := _digit_ratio(v)) and ratio[1] != 0:
+            nums.append(ratio[0])
+            dens.append(ratio[1])
+            continue
         x = coerce_number(v, space.mode)
         if not 0 <= x < math.inf and bad is None:
             bad = (len(nums), x)
@@ -353,9 +353,6 @@ class UtilityFunction:
 
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
-
-    def as_mapping(self) -> dict[str, Numeric]:
-        return dict(zip(self.space.labels, self.values))
 
 
 def new_utility(space: OutcomeSpace, values: Iterable) -> UtilityFunction:

@@ -21,6 +21,9 @@ from .jsonio import lottery_to_json
 from .lottery import Lottery, UtilityFunction
 from .preference import PreferenceOracle
 
+# seconds close() waits for a comparator to exit once its input is closed
+CLOSE_TIMEOUT_S = 10
+
 
 def _square(t):
     return t * t
@@ -83,7 +86,9 @@ class SubprocessOracle(PreferenceOracle):
     ``{"pref": false}``. The process is started once and kept alive for the
     whole session; it is expected to answer deterministically. A child that
     cannot be started, closes its output or replies with anything else
-    raises :class:`OracleFailure`.
+    raises :class:`OracleFailure`. So does :meth:`close` when the child is
+    still running ``CLOSE_TIMEOUT_S`` seconds after its input closed; it is
+    killed and reaped first.
     """
 
     def __init__(self, space, command: str, query_budget: Optional[int] = None):
@@ -122,11 +127,21 @@ class SubprocessOracle(PreferenceOracle):
         return reply["pref"]
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            # a request left unsent by a broken pipe would fail again here
-            with contextlib.suppress(OSError):
-                self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        """Close both pipes and reap the child; safe to call more than once."""
+        # a request left unsent by a broken pipe would fail again here
+        with contextlib.suppress(OSError):
+            self._proc.stdin.close()
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise OracleFailure(
+                f"oracle subprocess {self.command!r} still ran {CLOSE_TIMEOUT_S} s"
+                " after its input closed; killed it"
+            ) from None
+        finally:
+            self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -334,25 +334,15 @@ def check_classical_independence(
     return run_check("classical_independence", oracle, tuples, test)
 
 
-def _upper_grid(space: OutcomeSpace, max_probes: int):
-    # 1/2, 3/4, 7/8, ... approaching 1 from below
+def _grid(space: OutcomeSpace, max_probes: int, upper: bool):
+    # 1/2, 3/4, 7/8, ... approaching 1 from below (upper), else 1/2, 1/4, 1/8, ...
     if space.exact:
         for k in range(1, max_probes + 1):
-            yield Fraction(2**k - 1, 2**k)
+            yield Fraction(2**k - 1 if upper else 1, 2**k)
     else:
-        # cap so the float weight stays strictly below 1
+        # cap so the float weight stays strictly inside (0, 1)
         for k in range(1, min(max_probes, 50) + 1):
-            yield 1.0 - 0.5**k
-
-
-def _lower_grid(space: OutcomeSpace, max_probes: int):
-    # 1/2, 1/4, 1/8, ... approaching 0 from above
-    if space.exact:
-        for k in range(1, max_probes + 1):
-            yield Fraction(1, 2**k)
-    else:
-        for k in range(1, min(max_probes, 50) + 1):
-            yield 0.5**k
+            yield 1.0 - 0.5**k if upper else 0.5**k
 
 
 def probe_continuity(
@@ -371,33 +361,27 @@ def probe_continuity(
     against the oracle before returning. This certifies the instance; it
     says nothing about other triples.
     """
-    if compare(oracle, p, q) is not Comparison.PREFER_FIRST:
-        raise PreconditionViolated("continuity probe needs p strictly preferred to q")
-    if compare(oracle, q, r) is not Comparison.PREFER_FIRST:
-        raise PreconditionViolated("continuity probe needs q strictly preferred to r")
-    if compare(oracle, p, r) is not Comparison.PREFER_FIRST:
-        raise PreconditionViolated("continuity probe needs p strictly preferred to r")
+    def beats(x, y) -> bool:
+        return compare(oracle, x, y) is Comparison.PREFER_FIRST
 
-    alpha = None
-    for a in _upper_grid(oracle.space, max_probes):
-        if compare(oracle, mix(p, r, a), q) is Comparison.PREFER_FIRST:
-            alpha = a
-            break
+    lots = {"p": p, "q": q, "r": r}
+    for a, b in ("pq", "qr", "pr"):
+        if not beats(lots[a], lots[b]):
+            raise PreconditionViolated(f"continuity probe needs {a} strictly preferred to {b}")
+
+    upper = _grid(oracle.space, max_probes, upper=True)
+    alpha = next((a for a in upper if beats(mix(p, r, a), q)), None)
     if alpha is None:
         raise SearchExhausted(max_probes, "no upper witness with mix(p, r, alpha) > q")
-
-    beta = None
-    for b in _lower_grid(oracle.space, max_probes):
-        if compare(oracle, q, mix(p, r, b)) is Comparison.PREFER_FIRST:
-            beta = b
-            break
+    lower = _grid(oracle.space, max_probes, upper=False)
+    beta = next((b for b in lower if beats(q, mix(p, r, b))), None)
     if beta is None:
         raise SearchExhausted(max_probes, "no lower witness with q > mix(p, r, beta)")
 
     # replay both witnesses once more before handing them out
-    if compare(oracle, mix(p, r, alpha), q) is not Comparison.PREFER_FIRST:
+    if not beats(mix(p, r, alpha), q):
         raise SearchExhausted(max_probes, "upper witness did not replay")
-    if compare(oracle, q, mix(p, r, beta)) is not Comparison.PREFER_FIRST:
+    if not beats(q, mix(p, r, beta)):
         raise SearchExhausted(max_probes, "lower witness did not replay")
     return alpha, beta
 

@@ -64,16 +64,16 @@ def random_utility(
     return new_utility(space, tuple(n / den for n in nums))
 
 
+def _triple(space, rng, max_denominator=DEFAULT_MAX_DENOMINATOR):
+    # p, q, r drawn in that order, so a seed gives the same sample everywhere
+    p = random_lottery(space, rng, max_denominator)
+    q = random_lottery(space, rng, max_denominator)
+    return p, q, random_lottery(space, rng, max_denominator)
+
+
 def random_triples(space: OutcomeSpace, rng: random.Random, count: int, **kw):
     """``count`` independent (p, q, r) triples."""
-    return [
-        (
-            random_lottery(space, rng, **kw),
-            random_lottery(space, rng, **kw),
-            random_lottery(space, rng, **kw),
-        )
-        for _ in range(count)
-    ]
+    return [_triple(space, rng, **kw) for _ in range(count)]
 
 
 def random_mix_tuples(
@@ -86,9 +86,7 @@ def random_mix_tuples(
     """``count`` independent (p, q, r, alpha) tuples for independence checks."""
     out = []
     for _ in range(count):
-        p = random_lottery(space, rng, max_denominator)
-        q = random_lottery(space, rng, max_denominator)
-        r = random_lottery(space, rng, max_denominator)
+        p, q, r = _triple(space, rng, max_denominator)
         a = random_alpha(space, rng, max_denominator, include_one=include_one)
         out.append((p, q, r, a))
     return out
@@ -103,11 +101,8 @@ def random_claim_tuples(
     """``count`` (p, q, r, alpha, beta) tuples with alpha in (0,1), beta in (alpha, 1]."""
     out = []
     for _ in range(count):
-        p = random_lottery(space, rng, max_denominator)
-        q = random_lottery(space, rng, max_denominator)
-        r = random_lottery(space, rng, max_denominator)
+        p, q, r = _triple(space, rng, max_denominator)
         a = random_alpha(space, rng, max_denominator, include_one=False)
         t = random_alpha(space, rng, max_denominator, include_one=True)
-        beta = a + (1 - a) * t
-        out.append((p, q, r, a, beta))
+        out.append((p, q, r, a, a + (1 - a) * t))
     return out

@@ -10,11 +10,11 @@ exists; :func:`verify_affine` independently checks a claimed transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NotAffine, PreconditionViolated, RankMismatch, SpaceMismatch
 from .jsonio import number_to_json
 from .lottery import UtilityFunction
+from .preference import Report, run_check
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,18 @@ class AffineTransform:
         return {"alpha": number_to_json(self.alpha), "beta": number_to_json(self.beta)}
 
 
-def _default_tol(space):
-    return 0 if space.exact else 1e-9
-
-
-def _check_spaces(u: UtilityFunction, v: UtilityFunction) -> None:
+def _checked_tol(u: UtilityFunction, v: UtilityFunction, tol):
+    # u and v must share a space; tol defaults to 0 in rational mode, 1e-9 in float mode
     if u.space != v.space:
         raise SpaceMismatch("utilities must share one outcome space")
+    return (0 if u.space.exact else 1e-9) if tol is None else tol
 
 
 def _residual_witness(u: UtilityFunction, v: UtilityFunction, t: AffineTransform):
-    worst = None
-    worst_gap = None
-    for x, uv, vv in zip(u.space.labels, u.values, v.values):
-        gap = abs(vv - t.apply(uv))
-        if worst_gap is None or gap > worst_gap:
-            worst_gap = gap
-            worst = (x, t.apply(uv), vv)
-    return worst_gap, worst
+    # the largest gap and its (outcome, transformed, target); ties go to the first
+    rows = [(x, t.apply(uv), vv) for x, uv, vv in zip(u.space.labels, u.values, v.values)]
+    worst = max(rows, key=lambda row: abs(row[2] - row[1]))
+    return abs(worst[2] - worst[1]), worst
 
 
 def recover_affine(u: UtilityFunction, v: UtilityFunction, tol=None) -> AffineTransform:
@@ -66,9 +60,7 @@ def recover_affine(u: UtilityFunction, v: UtilityFunction, tol=None) -> AffineTr
     the offset anchors the minimum. Residuals beyond ``tol`` (0 in rational
     mode, 1e-9 in float mode) raise :class:`NotAffine`.
     """
-    _check_spaces(u, v)
-    if tol is None:
-        tol = _default_tol(u.space)
+    tol = _checked_tol(u, v, tol)
 
     labels = u.space.labels
     for i in range(len(labels)):
@@ -95,37 +87,23 @@ def recover_affine(u: UtilityFunction, v: UtilityFunction, tol=None) -> AffineTr
     return transform
 
 
-@dataclass
-class AffineCheck:
-    """Outcome of verifying one claimed transform."""
-
-    passed: bool
-    max_residual: object
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": number_to_json(self.max_residual),
-            "witness": self.witness,
-        }
-
-
 def verify_affine(
     u: UtilityFunction, v: UtilityFunction, transform: AffineTransform, tol=None
-) -> AffineCheck:
-    """Does ``alpha * u + beta`` reproduce ``v`` within ``tol`` everywhere?"""
-    _check_spaces(u, v)
-    if tol is None:
-        tol = _default_tol(u.space)
-    gap, worst = _residual_witness(u, v, transform)
-    passed = gap <= tol
-    witness = None
-    if not passed:
-        label, expected, actual = worst
-        witness = {
+) -> Report:
+    """Does ``alpha * u + beta`` reproduce ``v`` within ``tol`` everywhere?
+
+    A :func:`run_check` report with ``details.max_residual``, the largest gap.
+    """
+    tol = _checked_tol(u, v, tol)
+    gap, (label, expected, actual) = _residual_witness(u, v, transform)
+
+    def test():
+        if gap <= tol:
+            return None
+        return {
             "outcome": label,
             "transformed": number_to_json(expected),
             "target": number_to_json(actual),
         }
-    return AffineCheck(passed=passed, max_residual=gap, witness=witness)
+
+    return run_check("affine", None, [()], test, details={"max_residual": number_to_json(gap)})

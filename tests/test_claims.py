@@ -167,9 +167,23 @@ class TestClaimV:
         o = UtilityOracle(U3)
         d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
         top_tie = verify_claim_v(o, d1, d1, d3)
-        assert top_tie.passed and top_tie.details["alpha_hat"] == "1"
+        assert top_tie.passed and top_tie.details == {
+            "alpha_hat": "1",
+            "iterations": 0,
+            "replay_comparison": "indifferent",
+            "analytic_alpha": "1",
+            "above_comparison": "skipped",
+            "below_comparison": "prefer_second",
+        }
         bottom_tie = verify_claim_v(o, d1, d3, d3)
-        assert bottom_tie.passed and bottom_tie.details["alpha_hat"] == "0"
+        assert bottom_tie.passed and bottom_tie.details == {
+            "alpha_hat": "0",
+            "iterations": 0,
+            "replay_comparison": "indifferent",
+            "analytic_alpha": "0",
+            "above_comparison": "prefer_first",
+            "below_comparison": "skipped",
+        }
 
     def test_random_triples_match_analytic(self):
         rng = random.Random(11)
@@ -218,6 +232,92 @@ class TestClaimV:
         d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
         with pytest.raises(PreconditionViolated):
             verify_claim_v(o, d3, d2, d1)
+
+
+def quarter_bands(round_to):
+    """An oracle comparing ``round_to(4 * EU)``: indifferent on quarter-wide bands."""
+
+    def pref(p, q):
+        return round_to(4 * expected_utility(p, U3)) >= round_to(4 * expected_utility(q, U3))
+
+    return PreferenceOracle(SPACE3, pref_fn=pref)
+
+
+class MisreportingOracle(UtilityOracle):
+    """Carries ``U3`` as its utility but answers by another one."""
+
+    def __init__(self, answers_by):
+        super().__init__(U3)
+        self._by = UtilityOracle(answers_by)
+
+    def _answer(self, p, q):
+        return self._by._answer(p, q)
+
+
+class TestClaimVBranches:
+    """Each way claim V can fail, with its exact details and witness."""
+
+    D1, D2, D3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+    TRIPLE = {k: jsonio.lottery_to_json(d) for k, d in zip("pqr", (D1, D2, D3))}
+
+    def test_analytic_gap(self):
+        o = MisreportingOracle(new_utility(SPACE3, (1, Fraction(1, 4), 0)))
+        report = verify_claim_v(o, self.D1, self.D2, self.D3)
+        assert not report.passed
+        assert report.details == {
+            "alpha_hat": "1/4",
+            "iterations": 2,
+            "replay_comparison": "indifferent",
+            "analytic_alpha": "1/2",
+        }
+        assert report.witness == {
+            "kind": "claim_v_analytic_gap",
+            "alpha_hat": "1/4",
+            "analytic_alpha": "1/2",
+            "tol": TOL,
+            **self.TRIPLE,
+        }
+
+    def test_not_unique_above(self):
+        # floor bands: [1/2, 3/4) all tie with q, so the weight above 1/2 ties too
+        report = verify_claim_v(quarter_bands(math.floor), self.D1, self.D2, self.D3)
+        assert not report.passed
+        assert report.details == {
+            "alpha_hat": "1/2",
+            "iterations": 1,
+            "replay_comparison": "indifferent",
+            "above_comparison": "indifferent",
+        }
+        assert report.witness == {
+            "kind": "claim_v_not_unique_above",
+            "weight": "50000001/100000000",
+            "comparison": "indifferent",
+            **self.TRIPLE,
+        }
+
+    def test_not_unique_below(self):
+        # ceil bands: (1/4, 1/2] all tie with q, so only the weight below 1/2 ties
+        report = verify_claim_v(quarter_bands(math.ceil), self.D1, self.D2, self.D3)
+        assert not report.passed
+        assert report.details == {
+            "alpha_hat": "1/2",
+            "iterations": 1,
+            "replay_comparison": "indifferent",
+            "above_comparison": "prefer_first",
+            "below_comparison": "indifferent",
+        }
+        assert report.witness == {
+            "kind": "claim_v_not_unique_below",
+            "weight": "49999999/100000000",
+            "comparison": "indifferent",
+            **self.TRIPLE,
+        }
+
+    def test_report_counts_one_instance_and_its_queries(self):
+        o = UtilityOracle(U3)
+        report = verify_claim_v(o, self.D1, self.D2, self.D3)
+        assert (report.name, report.checked, report.skipped) == ("V", 1, 0)
+        assert report.queries_used == o.query_count
 
 
 class TestClaimVCheck:

@@ -26,6 +26,7 @@ from vnm import (
     sampling,
     verify_claims_i_to_iv,
 )
+from vnm import oracles
 from vnm.cli import main
 from vnm.jsonio import utility_from_json
 
@@ -622,6 +623,32 @@ def test_comparator_failure_is_exit_two_without_traceback(case, tmp_path, city_f
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+def test_comparator_outliving_close_is_killed_with_a_warning(
+    tmp_path, city_files, capsys, monkeypatch
+):
+    # answers every query, then ignores the end of its input
+    script = tmp_path / "stubborn.py"
+    script.write_text(EU_COMPARATOR + "import time\ntime.sleep(30)\n")
+    monkeypatch.setattr(oracles, "CLOSE_TIMEOUT_S", 0.2)
+    children = []
+    close = oracles.SubprocessOracle.close
+
+    def watched_close(self):
+        children.append(self._proc)
+        close(self)
+
+    monkeypatch.setattr(oracles.SubprocessOracle, "close", watched_close)
+    argv = ["elicit", "--oracle-cmd", f"{sys.executable} {script}", "--space", city_files["space"]]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["best"] == "x1"
+    assert "Traceback" not in err
+    warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "killed" in warnings[0]
+    assert len(children) == 1 and children[0].poll() is not None
+    assert children[0].stdin.closed and children[0].stdout.closed
 
 
 @pytest.mark.parametrize("seed", [3, 11])

@@ -141,7 +141,7 @@ class TestFit:
     def test_mixed_lottery_fit(self):
         rng = random.Random(3)
         u = new_utility(SPACE3, (1, Fraction(2, 5), 0))
-        oracle = RewardModel(u)
+        oracle = RewardModel(u).oracle()
         pairs = []
         while len(pairs) < 30:
             p = sampling.random_lottery(SPACE3, rng)

@@ -130,12 +130,13 @@ class TestVerifyAffine:
         v = new_utility(CITY, (3, "2.1", 0))
         check = verify_affine(u, v, AffineTransform(Fraction(3), Fraction(0)))
         assert check.passed
-        assert check.max_residual == 0
+        assert check.details["max_residual"] == "0"
 
     def test_fail_names_worst_outcome(self):
         u = new_utility(SPACE3, (0, 1, 2))
         v = new_utility(SPACE3, (0, 1, 5))
         check = verify_affine(u, v, AffineTransform(Fraction(1), Fraction(0)))
         assert not check.passed
-        assert check.witness["outcome"] == "x3"
-        assert check.max_residual == 3
+        assert check.details["max_residual"] == "3"
+        assert (check.name, check.checked, check.queries_used) == ("affine", 1, 0)
+        assert check.witness == {"outcome": "x3", "transformed": "2", "target": "5"}
