@@ -9,20 +9,23 @@ The lemmas, identified here by the roman numerals I through V:
 * V: for p >= q >= r with p > r there is exactly one weight a* making
   mix(p, r, a*) indifferent to q.
 
-Claims I through IV are spot-checked on sampled tuples in one pass that
-fills four reports. Claim V is checked constructively: bisection locates the
-weight, a closed-form expected-utility computation cross-checks it, and
-strict comparisons just above and below confirm uniqueness.
+Claims I through IV are spot-checked on sampled tuples: one pass sorts the
+tuples into strict and indifferent ones, then each claim is one
+:func:`run_check` over its own list. Claim V is checked constructively:
+bisection locates the weight, a closed-form expected-utility computation
+cross-checks it, and strict comparisons just above and below confirm
+uniqueness.
 :func:`verify_claim_v` runs that check on one triple and
 :func:`check_claim_v` on sampled triples, both through :func:`run_check`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 from .elicitation import _bisect
-from .errors import AlphaOutOfRange, PreconditionViolated
+from .errors import AlphaOutOfRange, NoConvergence, PreconditionViolated
 from .jsonio import lottery_to_json, number_to_json, triple_to_json
 from .lottery import Lottery, UtilityFunction, coerce_number, expected_utility, mix
 from .preference import (
@@ -35,8 +38,6 @@ from .preference import (
     run_check,
     strict_order,
 )
-
-CLAIM_IDS = ("I", "II", "III", "IV", "V")
 
 
 def _default_beta(alpha):
@@ -98,64 +99,50 @@ def _claim_iv(oracle, p, q, r, alpha, beta, m):
     }
 
 
-# per-claim tests by the comparison of p and q they need; each takes
-# (oracle, x, y, r, alpha, beta, mix(x, y, alpha)) with x >= y
-_STRICT_CLAIMS = (("I", _claim_i), ("II", _claim_ii))
-_INDIFFERENT_CLAIMS = (("III", _claim_iii), ("IV", _claim_iv))
-
-
 def verify_claims_i_to_iv(
     oracle: PreferenceOracle,
     tuples: Iterable[tuple],
 ) -> list[Report]:
     """Check claims I through IV on sampled (p, q, r, alpha[, beta]) tuples.
 
-    Each tuple is first classified by comparing p and q. Strict tuples
-    exercise claims I and II (with q taking the worse role as needed);
-    indifferent tuples exercise claims III and IV. A tuple that does not
-    satisfy a claim's precondition counts as skipped for that claim. Alpha
-    must be strictly interior; beta defaults to the midpoint of (alpha, 1].
+    One pass classifies each tuple by comparing p and q. Strict tuples,
+    oriented so that the better lottery comes first, exercise claims I and
+    II; indifferent tuples exercise claims III and IV. Each claim is then
+    one :func:`run_check` over its own list, and the tuples of the other
+    list count as its ``skipped``. Alpha must be strictly interior; beta
+    defaults to the midpoint of (alpha, 1].
 
     Each claim's ``queries_used`` counts the queries of its own tests. The
-    classifying comparison is charged to the first claim the tuple routes
-    to (I for strict tuples, III for indifferent ones), so the four counts
-    sum to the oracle's queries over the whole run.
+    classifying comparison is charged to I for strict tuples and to III for
+    indifferent ones, so the four counts sum to the oracle's queries over
+    the whole run.
     """
-    reports = {c: Report(name=c, passed=True, checked=0, queries_used=0) for c in CLAIM_IDS[:4]}
-
-    for item in tuples:
-        if len(item) == 5:
-            p, q, r, alpha, beta = item
-        else:
-            p, q, r, alpha = item
-            beta = _default_beta(alpha)
+    strict, indifferent = [], []
+    for p, q, r, alpha, *rest in tuples:
+        (beta,) = rest or (_default_beta(alpha),)
         if alpha <= 0 or alpha >= 1:
             raise AlphaOutOfRange(alpha, required="(0, 1)")
         if beta <= alpha or beta > 1:
             raise AlphaOutOfRange(beta, required=f"({alpha}, 1]")
-
-        start = oracle.query_count
         base = compare(oracle, p, q)
-        if base is Comparison.INDIFFERENT:
-            claims, others, x, y = _INDIFFERENT_CLAIMS, _STRICT_CLAIMS, p, q
-        else:
-            # orient so that better > worse, then claims I and II apply
-            claims, others = _STRICT_CLAIMS, _INDIFFERENT_CLAIMS
-            x, y = (p, q) if base is Comparison.PREFER_FIRST else (q, p)
-        for c, _ in others:
-            reports[c].skipped += 1
-        m = mix(x, y, alpha)
-        for c, test in claims:
-            report = reports[c]
-            if report.witness is None:
-                report.checked += 1
-                report.witness = test(oracle, x, y, r, alpha, beta, m)
-            report.queries_used += oracle.query_count - start
-            start = oracle.query_count
+        if base is Comparison.PREFER_SECOND:
+            p, q = q, p
+        group = indifferent if base is Comparison.INDIFFERENT else strict
+        group.append((p, q, r, alpha, beta, mix(p, q, alpha)))
 
-    for report in reports.values():
-        report.passed = report.witness is None
-    return list(reports.values())
+    reports = []
+    for claim, test, own, other, classified in (
+        ("I", _claim_i, strict, indifferent, True),
+        ("II", _claim_ii, strict, indifferent, False),
+        ("III", _claim_iii, indifferent, strict, True),
+        ("IV", _claim_iv, indifferent, strict, False),
+    ):
+        report = run_check(claim, oracle, own, partial(test, oracle))
+        report.skipped = len(other)
+        if classified:
+            report.queries_used += 2 * len(own)
+        reports.append(report)
+    return reports
 
 
 def analytic_indifference_alpha(u: UtilityFunction, p: Lottery, q: Lottery, r: Lottery):
@@ -242,7 +229,9 @@ def check_claim_v(
     A triple with a tie counts as skipped. The first failing triple's
     witness ends the run. ``queries_used`` covers the sorting queries too.
     A :class:`PreconditionViolated` from the bisection (an intransitive
-    oracle) is that triple's witness, of kind ``claim_v_precondition``.
+    oracle) is that triple's witness, of kind ``claim_v_precondition``; a
+    :class:`NoConvergence` is one of kind ``claim_v_no_convergence``, with
+    the last bracket.
     """
 
     def test(*triple):
@@ -252,11 +241,17 @@ def check_claim_v(
         try:
             return verify_claim_v(oracle, *ordered, tol=tol, max_iter=max_iter).witness
         except PreconditionViolated as exc:
-            top, middle, bottom = ordered
             return {
                 "kind": "claim_v_precondition",
                 "detail": str(exc),
-                **triple_to_json(top, middle, bottom),
+                **triple_to_json(*ordered),
+            }
+        except NoConvergence as exc:
+            return {
+                "kind": "claim_v_no_convergence",
+                "detail": str(exc),
+                "bracket": [number_to_json(b) for b in exc.bracket],
+                **triple_to_json(*ordered),
             }
 
     return run_check("V", oracle, triples, test)

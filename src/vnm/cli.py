@@ -132,7 +132,7 @@ def _checks_report(args, keys, reports) -> tuple[dict, bool]:
 
 def cmd_elicit(args, oracle, space):
     tol = coerce_number(args.tol, args.mode)
-    result = elicit_utility(oracle, space, tol=tol, max_iter=args.max_iter)
+    result = elicit_utility(oracle, tol=tol, max_iter=args.max_iter)
     report = {"command": "elicit", "options": _run_options(args, ("tol", "max-iter", "mode"))}
     report.update(result.to_json())
     for label, value in zip(space.labels, result.utility.values):

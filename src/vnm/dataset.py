@@ -78,9 +78,6 @@ class PrefDataset:
             if winner.space != self.space or loser.space != self.space:
                 raise SpaceMismatch("dataset pairs must live on the dataset's space")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     @cached_property
     def _graph(self) -> _Graph:
         edges = tuple(_canonical_ids(self))

@@ -13,13 +13,12 @@ oracle satisfying the axioms, which is what makes plain bisection sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import NoConvergence, PreconditionViolated, VNMError
 from .jsonio import lottery_to_json, number_to_json
 from .lottery import (
     Lottery,
-    OutcomeSpace,
     UtilityFunction,
     degenerate,
     expected_utility,
@@ -31,15 +30,13 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 
 
-def find_extreme_degenerates(
-    oracle: PreferenceOracle, space: Optional[OutcomeSpace] = None
-) -> tuple[str, str, bool]:
+def find_extreme_degenerates(oracle: PreferenceOracle) -> tuple[str, str, bool]:
     """Best and worst sure outcome, plus whether all outcomes tie.
 
     One linear scan, keeping a running best and running worst; ties leave
     the earlier index in place. Returns ``(best, worst, all_indifferent)``.
     """
-    space = space or oracle.space
+    space = oracle.space
     best = worst = space.labels[0]
     d_best = d_worst = degenerate(space, best)
     for label in space.labels[1:]:
@@ -158,7 +155,6 @@ class ElicitationResult:
 
 def elicit_utility(
     oracle: PreferenceOracle,
-    space: Optional[OutcomeSpace] = None,
     tol=DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ElicitationResult:
@@ -168,9 +164,9 @@ def elicit_utility(
     outcome is bisected between them. Costs O(size * log(1/tol))
     comparisons in total.
     """
-    space = space or oracle.space
+    space = oracle.space
     start = oracle.query_count
-    best, worst, all_indifferent = find_extreme_degenerates(oracle, space)
+    best, worst, all_indifferent = find_extreme_degenerates(oracle)
     per_queries: dict[str, int] = {}
     per_iters: dict[str, int] = {}
     values = []

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .errors import OracleFailure
 from .jsonio import lottery_to_json
 from .lottery import Lottery, UtilityFunction
-from .preference import PreferenceOracle
+from .preference import PreferenceOracle, ValueOracle
 
 # seconds close() waits for a comparator to exit once its input is closed
 CLOSE_TIMEOUT_S = 10
@@ -29,7 +29,7 @@ def _square(t):
     return t * t
 
 
-class RankDependentOracle(PreferenceOracle):
+class RankDependentOracle(ValueOracle):
     """Rank-dependent value: cumulative probabilities pass through a weight curve.
 
     Outcomes are ranked best-first by the supplied utility; outcome ``i`` in
@@ -53,13 +53,8 @@ class RankDependentOracle(PreferenceOracle):
         self._order = sorted(
             range(utility.space.size), key=lambda i: (utility.values[i], -i), reverse=True
         )
-        self._cache: dict[tuple, object] = {}
 
     def rank_dependent_value(self, p: Lottery):
-        key = p.key
-        got = self._cache.get(key)
-        if got is not None:
-            return got
         # rational mode sums int numerators over p.den and never builds p.probs
         den = p.den
         masses = p.probs if den is None else p.nums
@@ -71,11 +66,10 @@ class RankDependentOracle(PreferenceOracle):
             w_cum = self.weight(cum if den is None else Fraction(cum, den))
             total += (w_cum - w_prev) * self.utility.values[i]
             w_prev = w_cum
-        self._cache[key] = total
         return total
 
-    def _answer(self, p: Lottery, q: Lottery) -> bool:
-        return self.rank_dependent_value(p) >= self.rank_dependent_value(q)
+    def _evaluate(self, p: Lottery):
+        return self.rank_dependent_value(p)
 
 
 class SubprocessOracle(PreferenceOracle):

@@ -92,42 +92,42 @@ class PreferenceOracle:
         return self._pref_fn(p, q)
 
 
-class UtilityOracle(PreferenceOracle):
-    """The preference relation induced by a utility function.
+class ValueOracle(PreferenceOracle):
+    """The preference relation of a value function: ``pref(p, q)`` iff ``value(p) >= value(q)``.
 
-    ``pref(p, q)`` holds iff ``EU(p) >= EU(q) - indiff_epsilon``. The
-    epsilon exists for float-mode sweeps where exact ties are unstable; in
-    rational mode it must stay 0 so the relation is a genuine total
-    preorder.
+    Subclasses override :meth:`_evaluate`. Each value is computed once per
+    distinct lottery and kept in one dict keyed on ``lottery.key``, so equal
+    lotteries built apart share an entry. A cache hit still counts a query.
     """
 
-    def __init__(
-        self,
-        utility: UtilityFunction,
-        indiff_epsilon=0,
-        query_budget: Optional[int] = None,
-    ):
-        super().__init__(utility.space, query_budget=query_budget)
-        if indiff_epsilon < 0:
-            raise ValueError("indiff_epsilon must be nonnegative")
-        if utility.space.exact and indiff_epsilon != 0:
-            raise ValueError("indiff_epsilon must be 0 in rational mode")
-        self.utility = utility
-        self.indiff_epsilon = indiff_epsilon
-        self._eu_cache: dict[tuple, object] = {}
+    def __init__(self, space: OutcomeSpace, query_budget: Optional[int] = None):
+        super().__init__(space, query_budget=query_budget)
+        self._values: dict[tuple, object] = {}
 
-    def _eu(self, p: Lottery):
+    def value(self, p: Lottery):
         key = p.key
-        got = self._eu_cache.get(key)
+        got = self._values.get(key)
         if got is None:
-            got = expected_utility(p, self.utility)
-            self._eu_cache[key] = got
+            got = self._evaluate(p)
+            self._values[key] = got
         return got
 
+    def _evaluate(self, p: Lottery):
+        raise NotImplementedError("override _evaluate")
+
     def _answer(self, p: Lottery, q: Lottery) -> bool:
-        if self.indiff_epsilon:
-            return self._eu(p) >= self._eu(q) - self.indiff_epsilon
-        return self._eu(p) >= self._eu(q)
+        return self.value(p) >= self.value(q)
+
+
+class UtilityOracle(ValueOracle):
+    """The preference relation induced by a utility function: ``EU(p) >= EU(q)``."""
+
+    def __init__(self, utility: UtilityFunction, query_budget: Optional[int] = None):
+        super().__init__(utility.space, query_budget=query_budget)
+        self.utility = utility
+
+    def _evaluate(self, p: Lottery):
+        return expected_utility(p, self.utility)
 
 
 def compare(oracle: PreferenceOracle, p: Lottery, q: Lottery) -> Comparison:

@@ -31,9 +31,6 @@ class AffineTransform:
     def apply(self, value):
         return self.alpha * value + self.beta
 
-    def to_json(self) -> dict:
-        return {"alpha": number_to_json(self.alpha), "beta": number_to_json(self.beta)}
-
 
 def _checked_tol(u: UtilityFunction, v: UtilityFunction, tol):
     # u and v must share a space; tol defaults to 0 in rational mode, 1e-9 in float mode

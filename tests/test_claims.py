@@ -355,3 +355,18 @@ class TestClaimVCheck:
         assert "strictly preferred" in witness["detail"]
         ordered = strict_order(o, d1, d2, d3)
         assert [witness[k] for k in "pqr"] == [jsonio.lottery_to_json(x) for x in ordered]
+
+    def test_no_convergence_is_the_witness(self):
+        # alpha* = 1/3 is never a dyadic midpoint, so three halvings leave [1/4, 3/8]
+        o = UtilityOracle(new_utility(SPACE3, (1, Fraction(1, 3), 0)))
+        d1, d2, d3 = (degenerate(SPACE3, x) for x in SPACE3.labels)
+        report = check_claim_v(o, [(d3, d2, d1), (d1, d2, d3)], max_iter=3)
+        assert not report.passed
+        assert (report.checked, report.skipped) == (1, 0)
+        assert report.queries_used == o.query_count
+        assert report.witness == {
+            "kind": "claim_v_no_convergence",
+            "detail": "no convergence after 3 iterations",
+            "bracket": ["1/4", "3/8"],
+            **jsonio.triple_to_json(d1, d2, d3),
+        }

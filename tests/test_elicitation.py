@@ -32,23 +32,23 @@ TOL = 1e-9
 class TestExtremes:
     def test_basic_scan(self):
         o = UtilityOracle(new_utility(SPACE3, (1, Fraction(1, 2), 0)))
-        assert find_extreme_degenerates(o, SPACE3) == ("x1", "x3", False)
+        assert find_extreme_degenerates(o) == ("x1", "x3", False)
 
     def test_ties_keep_lower_index(self):
         o = UtilityOracle(new_utility(SPACE3, (1, 1, 0)))
-        best, worst, _ = find_extreme_degenerates(o, SPACE3)
+        best, worst, _ = find_extreme_degenerates(o)
         assert best == "x1"
         o2 = UtilityOracle(new_utility(SPACE3, (1, 0, 0)))
-        _, worst2, _ = find_extreme_degenerates(o2, SPACE3)
+        _, worst2, _ = find_extreme_degenerates(o2)
         assert worst2 == "x2"
 
     def test_all_indifferent(self):
         o = UtilityOracle(new_utility(SPACE3, (2, 2, 2)))
-        assert find_extreme_degenerates(o, SPACE3) == ("x1", "x1", True)
+        assert find_extreme_degenerates(o) == ("x1", "x1", True)
 
     def test_scan_cost_is_linear(self):
         o = UtilityOracle(new_utility(SPACE3, (0, 1, Fraction(1, 2))))
-        find_extreme_degenerates(o, SPACE3)
+        find_extreme_degenerates(o)
         # two comparisons per remaining outcome plus the final best/worst check
         assert o.query_count == 2 * (2 * (SPACE3.size - 1) + 1)
 

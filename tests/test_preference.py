@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -97,15 +99,6 @@ class TestOracleMechanics:
             o.pref(p, q)
         assert o.query_count == 3
 
-    def test_rational_mode_needs_zero_epsilon(self):
-        with pytest.raises(ValueError):
-            UtilityOracle(U3, indiff_epsilon=Fraction(1, 100))
-
-    def test_float_mode_epsilon_widens_indifference(self):
-        s = OutcomeSpace(("a", "b"), "float")
-        o = UtilityOracle(new_utility(s, (1.0, 0.999999)), indiff_epsilon=1e-3)
-        assert compare(o, degenerate(s, "a"), degenerate(s, "b")) is Comparison.INDIFFERENT
-
     def test_space_mismatch_on_query(self):
         o = UtilityOracle(U3)
         other = OutcomeSpace(("y1", "y2"))
@@ -123,7 +116,7 @@ def equal_lotteries():
 
 
 class TestValueCaches:
-    """Oracle value caches are keyed on ``(nums, den)``, so equal lotteries share an entry."""
+    """Both value oracles share ``ValueOracle``'s one cache, keyed on ``(nums, den)``."""
 
     def test_utility_oracle_evaluates_equal_lotteries_once(self, monkeypatch):
         evaluated = []
@@ -139,7 +132,7 @@ class TestValueCaches:
         assert all(o.pref(p, worst) for p in equal_lotteries())
         assert o.query_count == 4
         assert evaluated == [equal_lotteries()[0], worst]
-        assert set(o._eu_cache) == {((2, 1, 1), 4), ((0, 0, 1), 1)}
+        assert set(o._values) == {((2, 1, 1), 4), ((0, 0, 1), 1)}
 
     def test_rank_dependent_oracle_evaluates_equal_lotteries_once(self):
         weights = []
@@ -149,10 +142,32 @@ class TestValueCaches:
             return t * t
 
         o = RankDependentOracle(U3, weight=square)
+        worst = degenerate(SPACE3, "x3")
+        assert all(o.pref(p, worst) for p in equal_lotteries())
+        assert o.query_count == 4
+        # one evaluation each of p and worst, size + 1 weights apiece
+        assert len(weights) == 2 * (SPACE3.size + 1)
+        assert set(o._values) == {((2, 1, 1), 4), ((0, 0, 1), 1)}
+        # the value function itself is not cached
+        weights.clear()
         values = {o.rank_dependent_value(p) for p in equal_lotteries()}
         assert len(values) == 1
-        assert len(weights) == SPACE3.size + 1
-        assert set(o._cache) == {((2, 1, 1), 4)}
+        assert len(weights) == 4 * (SPACE3.size + 1)
+
+    @pytest.mark.parametrize("make", [UtilityOracle, RankDependentOracle])
+    def test_oracle_is_freed_without_the_cyclic_gc(self, make):
+        # a reference cycle in every oracle would leave it to the cyclic GC
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            o = make(U3)
+            compare(o, degenerate(SPACE3, "x1"), degenerate(SPACE3, "x3"))
+            ref = weakref.ref(o)
+            del o
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestOrderAxioms:
