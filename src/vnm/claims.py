@@ -53,7 +53,7 @@ def _claim_i(oracle, better, worse, r, alpha, beta, m):
         "kind": "claim_i",
         "better": lottery_to_json(better),
         "worse": lottery_to_json(worse),
-        "alpha": number_to_json(alpha),
+        "alpha": number_to_json(alpha, oracle.space.mode),
         "better_vs_mix": upper.value,
         "mix_vs_worse": lower.value,
     }
@@ -67,8 +67,8 @@ def _claim_ii(oracle, better, worse, r, alpha, beta, m):
         "kind": "claim_ii",
         "better": lottery_to_json(better),
         "worse": lottery_to_json(worse),
-        "alpha": number_to_json(alpha),
-        "beta": number_to_json(beta),
+        "alpha": number_to_json(alpha, oracle.space.mode),
+        "beta": number_to_json(beta, oracle.space.mode),
         "comparison": c.value,
     }
 
@@ -81,7 +81,7 @@ def _claim_iii(oracle, p, q, r, alpha, beta, m):
         "kind": "claim_iii",
         "p": lottery_to_json(p),
         "q": lottery_to_json(q),
-        "alpha": number_to_json(alpha),
+        "alpha": number_to_json(alpha, oracle.space.mode),
         "p_vs_mix": left.value,
         "mix_vs_q": right.value,
     }
@@ -94,7 +94,7 @@ def _claim_iv(oracle, p, q, r, alpha, beta, m):
     return {
         "kind": "claim_iv",
         **triple_to_json(p, q, r),
-        "alpha": number_to_json(alpha),
+        "alpha": number_to_json(alpha, oracle.space.mode),
         "mixed_comparison": c.value,
     }
 
@@ -180,26 +180,27 @@ def verify_claim_v(
     the iterations and every comparison made, up to the first failure.
     """
     details: dict = {}
+    tol = coerce_number(tol)
+    mode = p.space.mode
 
     def test():
         alpha_hat, iterations = _bisect(oracle, p, q, r, tol, max_iter)
-        details.update(alpha_hat=number_to_json(alpha_hat), iterations=iterations)
+        details.update(alpha_hat=number_to_json(alpha_hat, mode), iterations=iterations)
         details["replay_comparison"] = compare(oracle, mix(p, r, alpha_hat), q).value
         if isinstance(oracle, UtilityOracle):
             analytic = analytic_indifference_alpha(oracle.utility, p, q, r)
-            details["analytic_alpha"] = number_to_json(analytic)
+            details["analytic_alpha"] = number_to_json(analytic, mode)
             if abs(alpha_hat - analytic) > tol:
                 return {
                     "kind": "claim_v_analytic_gap",
-                    "alpha_hat": number_to_json(alpha_hat),
-                    "analytic_alpha": number_to_json(analytic),
-                    "tol": number_to_json(tol),
+                    "alpha_hat": number_to_json(alpha_hat, mode),
+                    "analytic_alpha": number_to_json(analytic, mode),
+                    "tol": number_to_json(tol, mode),
                     **triple_to_json(p, q, r),
                 }
-        step = 10 * coerce_number(tol, p.space.mode)
         for side, weight, expected in (
-            ("above", alpha_hat + step, Comparison.PREFER_FIRST),
-            ("below", alpha_hat - step, Comparison.PREFER_SECOND),
+            ("above", alpha_hat + 10 * tol, Comparison.PREFER_FIRST),
+            ("below", alpha_hat - 10 * tol, Comparison.PREFER_SECOND),
         ):
             if not 0 <= weight <= 1:
                 details[f"{side}_comparison"] = "skipped"
@@ -209,7 +210,7 @@ def verify_claim_v(
             if c is not expected:
                 return {
                     "kind": f"claim_v_not_unique_{side}",
-                    "weight": number_to_json(weight),
+                    "weight": number_to_json(weight, mode),
                     "comparison": c.value,
                     **triple_to_json(p, q, r),
                 }
@@ -250,7 +251,7 @@ def check_claim_v(
             return {
                 "kind": "claim_v_no_convergence",
                 "detail": str(exc),
-                "bracket": [number_to_json(b) for b in exc.bracket],
+                "bracket": [number_to_json(b, oracle.space.mode) for b in exc.bracket],
                 **triple_to_json(*ordered),
             }
 

@@ -86,7 +86,7 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _error_report(command: str, exc: VNMError) -> dict:
+def _error_report(command: str, exc: VNMError, mode: str) -> dict:
     report = {
         "command": command,
         "passed": False,
@@ -94,7 +94,10 @@ def _error_report(command: str, exc: VNMError) -> dict:
     }
     witness = getattr(exc, "witness", None)
     if witness is not None:
-        report["error"]["witness"] = [str(w) for w in witness]
+        # outcome labels stay strings; numbers print in the space's mode
+        report["error"]["witness"] = [
+            w if isinstance(w, str) else number_to_json(w, mode) for w in witness
+        ]
     worst = getattr(exc, "worst", None)
     if worst is not None:
         report["error"]["worst"] = worst
@@ -131,7 +134,7 @@ def _checks_report(args, keys, reports) -> tuple[dict, bool]:
 
 
 def cmd_elicit(args, oracle, space):
-    tol = coerce_number(args.tol, args.mode)
+    tol = coerce_number(args.tol)
     result = elicit_utility(oracle, tol=tol, max_iter=args.max_iter)
     report = {"command": "elicit", "options": _run_options(args, ("tol", "max-iter", "mode"))}
     report.update(result.to_json())
@@ -156,7 +159,7 @@ def cmd_check_claims(args, oracle, space):
     rng = random.Random(args.seed)
     reports = verify_claims_i_to_iv(oracle, sampling.random_claim_tuples(space, rng, args.sample))
     triples = sampling.random_triples(space, rng, args.sample)
-    tol = coerce_number(args.tol, args.mode)
+    tol = coerce_number(args.tol)
     reports.append(check_claim_v(oracle, triples, tol=tol, max_iter=args.max_iter))
     return _checks_report(args, ("sample", "seed", "tol", "mode"), reports)
 
@@ -168,7 +171,7 @@ def cmd_verify_representation(args, oracle, space):
         (sampling.random_lottery(space, rng), sampling.random_lottery(space, rng))
         for _ in range(args.sample)
     ]
-    report = verify_representation(oracle, utility, pairs, tol=coerce_number(args.tol, args.mode))
+    report = verify_representation(oracle, utility, pairs, tol=coerce_number(args.tol))
     return {
         "command": "verify-representation",
         "options": _run_options(args, ("sample", "seed", "tol", "mode")),
@@ -180,13 +183,13 @@ def cmd_verify_representation(args, oracle, space):
 def cmd_recover_affine(args):
     u = _load(args.u, "utility", utility_from_json, mode=args.mode)
     v = _load(args.v, "utility", utility_from_json, space=u.space, mode=args.mode)
-    tol = None if args.tol is None else coerce_number(args.tol, args.mode)
+    tol = None if args.tol is None else coerce_number(args.tol)
     transform = recover_affine(u, v, tol=tol)
     check = verify_affine(u, v, transform, tol=tol)
     return {
         "command": "recover-affine",
-        "alpha": number_to_json(transform.alpha),
-        "beta": number_to_json(transform.beta),
+        "alpha": number_to_json(transform.alpha, u.space.mode),
+        "beta": number_to_json(transform.beta, u.space.mode),
         "max_residual": check.details["max_residual"],
         "passed": check.passed,
     }, check.passed
@@ -199,7 +202,7 @@ def cmd_validate_dataset(args):
 
 def cmd_fit_model(args):
     dataset = _load(args.dataset, "dataset", dataset_from_json, mode=args.mode)
-    margin = coerce_number(args.margin, args.mode)
+    margin = coerce_number(args.margin)
     model = fit_reward_model(dataset, margin=margin, max_epochs=args.max_epochs)
     check = model_fits_data(model, dataset, margin=margin)
     report = {"command": "fit-model", "options": _run_options(args, ("margin", "mode"))}
@@ -225,12 +228,12 @@ def cmd_demo(args):
         "mix_weight_0.6",
         mixed.probs == (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)),
         ["1/2", "3/10", "1/5"],
-        [number_to_json(v) for v in mixed.probs],
+        [number_to_json(v, RATIONAL) for v in mixed.probs],
     )
 
     u = new_utility(space3, (10, 5, 0))
     eu = expected_utility(mixed, u)
-    record("expected_utility", eu == Fraction(13, 2), "13/2", number_to_json(eu))
+    record("expected_utility", eu == Fraction(13, 2), "13/2", number_to_json(eu, RATIONAL))
 
     p2 = new_lottery(space3, ("0.7", "0.3", "0"))
     r2 = new_lottery(space3, ("0.1", "0.1", "0.8"))
@@ -243,8 +246,8 @@ def cmd_demo(args):
         and mix_q.probs == (Fraction(17, 50), Fraction(4, 25), Fraction(1, 2)),
         [["23/50", "11/50", "8/25"], ["17/50", "4/25", "1/2"]],
         [
-            [number_to_json(v) for v in mix_p.probs],
-            [number_to_json(v) for v in mix_q.probs],
+            [number_to_json(v, RATIONAL) for v in mix_p.probs],
+            [number_to_json(v, RATIONAL) for v in mix_q.probs],
         ],
     )
 
@@ -266,7 +269,7 @@ def cmd_demo(args):
         "continuity_probe",
         mix(top, bottom, alpha).probs[0] > Fraction(3, 5) > mix(top, bottom, beta).probs[0],
         "found weights strictly bracketing 3/5",
-        {"alpha": number_to_json(alpha), "beta": number_to_json(beta)},
+        {"alpha": number_to_json(alpha, RATIONAL), "beta": number_to_json(beta, RATIONAL)},
     )
 
     space_city = OutcomeSpace(("Paris", "Rome", "village"), RATIONAL)
@@ -277,7 +280,10 @@ def cmd_demo(args):
         "affine_recovery",
         transform.alpha == 3 and transform.beta == 0,
         {"alpha": "3", "beta": "0"},
-        {"alpha": number_to_json(transform.alpha), "beta": number_to_json(transform.beta)},
+        {
+            "alpha": number_to_json(transform.alpha, RATIONAL),
+            "beta": number_to_json(transform.beta, RATIONAL),
+        },
     )
 
     passed = all(c["passed"] for c in checks)
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VNMError as exc:
-        report, passed = _error_report(args.command, exc), False
+        report, passed = _error_report(args.command, exc, getattr(args, "mode", RATIONAL)), False
     finally:
         if isinstance(oracle, SubprocessOracle):
             try:

@@ -7,22 +7,21 @@ both directions, and longer strict-preference cycles. Cycle detection goes
 beyond pairwise contradiction checking and is reported as such.
 
 Decoding reads each probability once: ``"n/d"`` strings become ints and a
-rational lottery is built from them without a ``Fraction``.
+lottery is built from them without a ``Fraction``.
 
-Lottery identity is exact on ``(nums, den)`` in rational mode. In float
-mode a lottery joins the first earlier lottery within ``FLOAT_EQUALITY_TOL``
-in every entry; a dict of cells keyed on the first entry finds it in linear
-expected time. A dataset works out this identity graph (node ids, distinct
-count, contradictions and cycles) once, on first use, and keeps it, so
-validating and then fitting it builds the graph once.
+Lottery identity is exact, on ``lottery.key``, in both modes. A dataset
+works out this identity graph (node ids, distinct count, contradictions and
+cycles) once, on first use, and keeps it, so validating and then fitting it
+builds the graph once.
 
 Fitting searches for a utility whose expected-utility ranking reproduces
 every pair at a requested margin, via perceptron-style additive updates on
 the winner-minus-loser probability vectors. A linear-programming solver
 would do the same job; the iterative rule keeps this module dependency-free.
-In rational mode the updates, and the re-check of the normalised result,
-run on ints over one common denominator, and the margin is read exactly
-(``1e-3`` means 1/1000).
+In rational mode the updates run on ints over one common denominator; in
+float mode they run on float views of the exact lotteries. Either way the
+normalised result is re-checked exactly by :func:`model_fits_data`, on ints,
+and the margin is read exactly (``1e-3`` means 1/1000).
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from .jsonio import (
 )
 from .lottery import Lottery, OutcomeSpace, UtilityFunction, coerce_number, expected_utility
 from .preference import Report, UtilityOracle, run_check
-
-# float-mode lotteries closer than this componentwise count as the same node
-FLOAT_EQUALITY_TOL = 1e-12
 
 
 class _Graph(NamedTuple):
@@ -108,15 +104,6 @@ class RewardModel:
         return UtilityOracle(self.utility, query_budget=query_budget)
 
 
-def lotteries_equal(p: Lottery, q: Lottery) -> bool:
-    """Identity used when grouping dataset rows: exact, or 1e-12 in float mode."""
-    if p.space != q.space:
-        return False
-    if p.space.exact:
-        return p.key == q.key
-    return all(abs(a - b) <= FLOAT_EQUALITY_TOL for a, b in zip(p.probs, q.probs))
-
-
 @dataclass
 class ValidationReport:
     """What consistency checking found.
@@ -151,37 +138,12 @@ class ValidationReport:
 
 
 def _canonical_ids(dataset: PrefDataset) -> list[tuple[int, int]]:
-    """Map each pair to (winner_node, loser_node) ids under dataset identity."""
-    if dataset.space.exact:
-        seen: dict[tuple, int] = {}
-        return [
-            (seen.setdefault(w.key, len(seen)), seen.setdefault(l.key, len(seen)))
-            for w, l in dataset.pairs
-        ]
-    # float mode: a lottery joins the first representative within tolerance.
-    # Cells are 2*tol wide on the first entry, so a match lies in the
-    # lottery's own cell or a neighbouring one; each cell lists its
-    # representatives in order, so the lowest match over the three is the first.
-    width = 2 * FLOAT_EQUALITY_TOL
-    representatives: list[Lottery] = []
-    cells: dict[int, list[int]] = {}
-
-    def node(lot: Lottery) -> int:
-        cell = math.floor(lot.probs[0] / width)
-        found = len(representatives)
-        for c in (cell - 1, cell, cell + 1):
-            for k in cells.get(c, ()):
-                if k >= found:
-                    break
-                if lotteries_equal(lot, representatives[k]):
-                    found = k
-                    break
-        if found == len(representatives):
-            representatives.append(lot)
-            cells.setdefault(cell, []).append(found)
-        return found
-
-    return [(node(w), node(l)) for w, l in dataset.pairs]
+    """Map each pair to (winner_node, loser_node) ids under exact identity."""
+    seen: dict[tuple, int] = {}
+    return [
+        (seen.setdefault(w.key, len(seen)), seen.setdefault(l.key, len(seen)))
+        for w, l in dataset.pairs
+    ]
 
 
 def _find_cycles(edge_ids: list[tuple[int, int]]) -> list[list[int]]:
@@ -247,41 +209,35 @@ def validate_dataset(dataset: PrefDataset) -> ValidationReport:
 def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> Report:
     """Every winner must beat its loser by at least ``margin`` in EU.
 
-    ``margin`` is read in the dataset's mode, so it is exact in rational mode.
+    ``margin`` is read exactly. The EU gap of each pair is compared on ints:
+    with ``u = nums / den``, ``EU(w) - EU(l) >= margin`` is
+    ``(sw * l.den - sl * w.den) * margin.den >= margin.num * w.den * l.den * den``
+    where ``sw`` and ``sl`` are the int dot products with ``nums``. A
+    ``Fraction`` is built only for a witness.
     """
-    margin = coerce_number(margin, dataset.space.mode)
+    if model.utility.space != dataset.space:
+        raise SpaceMismatch()
+    margin = coerce_number(margin)
+    mode = dataset.space.mode
+    unums, uden = model.utility._ints
+    mnum, mden = margin.numerator, margin.denominator
 
     def test(index, pair):
         winner, loser = pair
-        eu_w = expected_utility(winner, model.utility)
-        eu_l = expected_utility(loser, model.utility)
-        if eu_w >= eu_l + margin:
+        sw = sum(map(operator.mul, winner.nums, unums))
+        sl = sum(map(operator.mul, loser.nums, unums))
+        if (sw * loser.den - sl * winner.den) * mden >= mnum * winner.den * loser.den * uden:
             return None
         return {
             "index": index,
             "winner": lottery_to_json(winner),
             "loser": lottery_to_json(loser),
-            "eu_winner": number_to_json(eu_w),
-            "eu_loser": number_to_json(eu_l),
-            "margin": number_to_json(margin),
+            "eu_winner": number_to_json(expected_utility(winner, model.utility), mode),
+            "eu_loser": number_to_json(expected_utility(loser, model.utility), mode),
+            "margin": number_to_json(margin, mode),
         }
 
     return run_check("fit", None, enumerate(dataset.pairs), test)
-
-
-def _normalized_fits(weights: list[int], diffs: list[tuple[int, ...]], den: int, margin) -> bool:
-    """``model_fits_data`` of the min-max normalised int weights, on ints.
-
-    ``diffs`` are the winner-minus-loser vectors over the common denominator
-    ``den``. With ``u = (W - lo) / (hi - lo)`` and every diff summing to zero,
-    a pair's EU gap is ``sum(W*d) / ((hi - lo) * den)``. Constant weights
-    normalise to the zero utility, whose gaps are all zero.
-    """
-    lo, hi = min(weights), max(weights)
-    if hi == lo:
-        return margin <= 0 or not diffs
-    need = math.ceil(margin * (hi - lo) * den)
-    return all(sum(map(operator.mul, weights, diff)) >= need for diff in diffs)
 
 
 def fit_reward_model(
@@ -292,16 +248,18 @@ def fit_reward_model(
     Requires a dataset free of contradictions and cycles (checked first; an
     empty dataset fits vacuously with the zero utility). Perceptron-style
     updates walk along violated winner-minus-loser vectors until an epoch
-    passes clean; the utility is then min-max normalized to [0, 1] and the
-    fit re-checked at the requested margin before it is returned. If
-    normalization eats too much of the achieved margin, training resumes at
-    a doubled internal margin within the same epoch budget.
+    passes clean; the utility is then min-max normalized to [0, 1] and
+    :func:`model_fits_data` re-checks it at the requested margin before it
+    is returned. If normalization eats too much of the achieved margin,
+    training resumes at a doubled internal margin within the same epoch
+    budget.
 
-    ``margin`` is read in the dataset's mode, so it is exact in rational
-    mode. There every lottery is put over one common denominator ``D``: the
-    diffs are int vectors, the weights are ``W/D`` with ``W`` an int vector,
-    and a score ``sum(W*d)/D**2`` is compared with the margin as an integer
-    inequality. The re-check of a converged ``W`` runs on the same ints.
+    ``margin`` is read exactly. In rational mode every lottery is put over
+    one common denominator ``D``: the diffs are int vectors, the weights are
+    ``W/D`` with ``W`` an int vector, and a score ``sum(W*d)/D**2`` is
+    compared with the margin as an integer inequality. In float mode the
+    updates run on float views ``nums / den`` of the lotteries, and the
+    normalized weights are read back as exact numbers.
     """
     graph = dataset._graph
     if graph.contradictions or graph.cycles:
@@ -310,10 +268,9 @@ def fit_reward_model(
             f"{len(graph.contradictions)} contradictions, {len(graph.cycles)} cycles"
         )
     space = dataset.space
-    margin = coerce_number(margin, space.mode)
-    zero, one = space.zero(), space.one()
+    margin = coerce_number(margin)
     if not dataset.pairs:
-        return RewardModel(UtilityFunction(space, tuple([zero] * space.size)))
+        return RewardModel(UtilityFunction(space, (0,) * space.size))
 
     if space.exact:
         den = math.lcm(*(lot.den for pair in dataset.pairs for lot in pair))
@@ -328,20 +285,20 @@ def fit_reward_model(
         scale = den * den
     else:
         diffs = [
-            tuple(w - l for w, l in zip(winner.probs, loser.probs))
+            tuple(a / winner.den - b / loser.den for a, b in zip(winner.nums, loser.nums))
             for winner, loser in dataset.pairs
         ]
-        weights = [zero] * space.size
+        weights = [0.0] * space.size
     internal_margin = margin
 
     def threshold(m):
         # an int score sum(W*d) reaches m * D**2 iff it reaches its ceiling
-        return math.ceil(m * scale) if space.exact else m
+        return math.ceil(m * scale) if space.exact else float(m)
 
     def normalized_model() -> RewardModel:
         lo, hi = min(weights), max(weights)
         if hi == lo:
-            values = tuple([zero] * space.size)
+            values = (0,) * space.size
         elif space.exact:
             values = tuple(Fraction(w - lo, hi - lo) for w in weights)
         else:
@@ -360,14 +317,11 @@ def fit_reward_model(
                 weights = [w + d for w, d in zip(weights, diff)]
                 updates += 1
         if updates == 0:
-            if (
-                _normalized_fits(weights, diffs, den, margin)
-                if space.exact
-                else model_fits_data(normalized_model(), dataset, margin).passed
-            ):
-                return normalized_model()
+            model = normalized_model()
+            if model_fits_data(model, dataset, margin).passed:
+                return model
             # normalization shrank the slack below the requested margin
-            internal_margin = internal_margin * 2 if internal_margin > 0 else one
+            internal_margin = internal_margin * 2 if internal_margin > 0 else Fraction(1)
             bar = threshold(internal_margin)
     candidate = normalized_model()
     violations = []
@@ -379,7 +333,7 @@ def fit_reward_model(
             violations.append((shortfall, index))
     violations.sort(key=lambda t: (-t[0], t[1]))
     worst = [
-        {"index": index, "shortfall": number_to_json(shortfall)}
+        {"index": index, "shortfall": number_to_json(shortfall, space.mode)}
         for shortfall, index in violations[:5]
     ]
     raise Infeasible(max_epochs, worst)

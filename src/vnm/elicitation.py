@@ -13,6 +13,7 @@ oracle satisfying the axioms, which is what makes plain bisection sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoConvergence, PreconditionViolated, VNMError
@@ -67,12 +68,12 @@ def _bisect(
     if compare(oracle, top, bottom) is not Comparison.PREFER_FIRST:
         raise PreconditionViolated("bisection needs top strictly preferred to bottom")
     if c_top is Comparison.INDIFFERENT:
-        return top.space.one(), 0
+        return Fraction(1), 0
     if c_bottom is Comparison.INDIFFERENT:
-        return top.space.zero(), 0
+        return Fraction(0), 0
 
     # invariant: mix(top, bottom, hi) >= target >= mix(top, bottom, lo)
-    lo, hi = top.space.zero(), top.space.one()
+    lo, hi = Fraction(0), Fraction(1)
     iterations = 0
     while iterations < max_iter:
         if hi - lo <= tol:
@@ -139,9 +140,10 @@ class ElicitationResult:
             raise VNMError("all-indifferent elicitation must return the zero utility")
 
     def to_json(self) -> dict:
+        mode = self.utility.space.mode
         return {
             "utility": {
-                x: number_to_json(v)
+                x: number_to_json(v, mode)
                 for x, v in zip(self.utility.space.labels, self.utility.values)
             },
             "best": self.best,
@@ -171,7 +173,7 @@ def elicit_utility(
     per_iters: dict[str, int] = {}
     values = []
     if all_indifferent:
-        values = [space.zero()] * space.size
+        values = [Fraction(0)] * space.size
         per_queries = {x: 0 for x in space.labels}
         per_iters = {x: 0 for x in space.labels}
     else:
@@ -179,11 +181,11 @@ def elicit_utility(
         d_worst = degenerate(space, worst)
         for label in space.labels:
             if label == best:
-                values.append(space.one())
+                values.append(Fraction(1))
                 per_queries[label] = 0
                 per_iters[label] = 0
             elif label == worst:
-                values.append(space.zero())
+                values.append(Fraction(0))
                 per_queries[label] = 0
                 per_iters[label] = 0
             else:
@@ -221,6 +223,7 @@ def verify_representation(
     disagreements are listed under ``details`` without affecting the verdict.
     """
     details: dict = {}
+    mode = oracle.space.mode
 
     def test(index, pair):
         p, q = pair
@@ -233,8 +236,8 @@ def verify_representation(
                     {
                         "index": index,
                         "comparison": c.value,
-                        "eu_first": number_to_json(eu_p),
-                        "eu_second": number_to_json(eu_q),
+                        "eu_first": number_to_json(eu_p, mode),
+                        "eu_second": number_to_json(eu_q, mode),
                     }
                 )
             return SKIP
@@ -248,8 +251,8 @@ def verify_representation(
             "index": index,
             "first": lottery_to_json(p),
             "second": lottery_to_json(q),
-            "eu_first": number_to_json(eu_p),
-            "eu_second": number_to_json(eu_q),
+            "eu_first": number_to_json(eu_p, mode),
+            "eu_second": number_to_json(eu_q, mode),
             "pref_first_second": pq,
             "pref_second_first": qp,
         }

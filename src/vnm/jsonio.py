@@ -2,8 +2,9 @@
 
 Conventions:
 
-* rational values serialize as ``"num/den"`` strings (``"1/2"``, ``"3"``),
-  floats as plain JSON numbers;
+* numbers are exact inside; :func:`number_to_json` prints them as
+  ``"num/den"`` strings (``"1/2"``, ``"3"``) in rational mode and as the
+  nearest JSON float in float mode;
 * a lottery is ``{"space": ["x1", ...], "probs": [...]}``;
 * a utility function is ``{"space": [...], "utility": {"x1": ...}}``;
 * a preference dataset is ``{"space": [...], "pairs": [{"winner": lottery,
@@ -13,9 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from fractions import Fraction
-from typing import Any
 
 from .lottery import (
     FLOAT,
@@ -28,11 +28,17 @@ from .lottery import (
 )
 
 
-def number_to_json(value) -> Any:
-    """Fractions become ``"num/den"`` strings, everything else stays a number."""
-    if isinstance(value, Fraction):
+def number_to_json(value, mode: str):
+    """``"num/den"`` in rational mode, the nearest float in float mode.
+
+    A value beyond the float range rounds to an infinity, as IEEE rounding does.
+    """
+    if mode == RATIONAL:
         return str(value)
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def space_to_json(space: OutcomeSpace) -> list[str]:
@@ -46,9 +52,10 @@ def space_from_json(obj, mode: str) -> OutcomeSpace:
 
 
 def lottery_to_json(p: Lottery) -> dict:
+    mode = p.space.mode
     return {
         "space": space_to_json(p.space),
-        "probs": [number_to_json(v) for v in p.probs],
+        "probs": [number_to_json(v, mode) for v in p.probs],
     }
 
 
@@ -86,9 +93,10 @@ def lottery_from_json(obj, space: OutcomeSpace | None = None, mode: str | None =
 
 
 def utility_to_json(u: UtilityFunction) -> dict:
+    mode = u.space.mode
     return {
         "space": space_to_json(u.space),
-        "utility": {x: number_to_json(v) for x, v in zip(u.space.labels, u.values)},
+        "utility": {x: number_to_json(v, mode) for x, v in zip(u.space.labels, u.values)},
     }
 
 

@@ -55,15 +55,12 @@ class RankDependentOracle(ValueOracle):
         )
 
     def rank_dependent_value(self, p: Lottery):
-        # rational mode sums int numerators over p.den and never builds p.probs
-        den = p.den
-        masses = p.probs if den is None else p.nums
-        total = self.space.zero()
-        cum = 0
-        w_prev = self.weight(self.space.zero())
+        # sums int numerators over p.den and never builds p.probs
+        total = cum = 0
+        w_prev = self.weight(Fraction(0))
         for i in self._order:
-            cum += masses[i]
-            w_cum = self.weight(cum if den is None else Fraction(cum, den))
+            cum += p.nums[i]
+            w_cum = self.weight(Fraction(cum, p.den))
             total += (w_cum - w_prev) * self.utility.values[i]
             w_prev = w_cum
         return total

@@ -293,7 +293,7 @@ def check_independence(
         return {
             "kind": "independence",
             **triple_to_json(p, q, r),
-            "alpha": number_to_json(alpha),
+            "alpha": number_to_json(alpha, oracle.space.mode),
             "base_comparison": base.value,
             "mixed_comparison": mixed.value,
         }
@@ -324,7 +324,7 @@ def check_classical_independence(
         return {
             "kind": "classical_independence",
             **triple_to_json(p, q, r),
-            "alpha": number_to_json(alpha),
+            "alpha": number_to_json(alpha, oracle.space.mode),
             "pref_p_q": forward,
             "pref_mixed_p_q": forward_mixed,
             "pref_q_p": backward,
@@ -334,15 +334,10 @@ def check_classical_independence(
     return run_check("classical_independence", oracle, tuples, test)
 
 
-def _grid(space: OutcomeSpace, max_probes: int, upper: bool):
+def _grid(max_probes: int, upper: bool):
     # 1/2, 3/4, 7/8, ... approaching 1 from below (upper), else 1/2, 1/4, 1/8, ...
-    if space.exact:
-        for k in range(1, max_probes + 1):
-            yield Fraction(2**k - 1 if upper else 1, 2**k)
-    else:
-        # cap so the float weight stays strictly inside (0, 1)
-        for k in range(1, min(max_probes, 50) + 1):
-            yield 1.0 - 0.5**k if upper else 0.5**k
+    for k in range(1, max_probes + 1):
+        yield Fraction(2**k - 1 if upper else 1, 2**k)
 
 
 def probe_continuity(
@@ -369,11 +364,11 @@ def probe_continuity(
         if not beats(lots[a], lots[b]):
             raise PreconditionViolated(f"continuity probe needs {a} strictly preferred to {b}")
 
-    upper = _grid(oracle.space, max_probes, upper=True)
+    upper = _grid(max_probes, upper=True)
     alpha = next((a for a in upper if beats(mix(p, r, a), q)), None)
     if alpha is None:
         raise SearchExhausted(max_probes, "no upper witness with mix(p, r, alpha) > q")
-    lower = _grid(oracle.space, max_probes, upper=False)
+    lower = _grid(max_probes, upper=False)
     beta = next((b for b in lower if beats(q, mix(p, r, b))), None)
     if beta is None:
         raise SearchExhausted(max_probes, "no lower witness with q > mix(p, r, beta)")

@@ -1,9 +1,9 @@
 """Seeded random generation of lotteries, mixing weights, and utilities.
 
 Everything takes an explicit :class:`random.Random` so that a fixed seed
-reproduces the exact sample. Rational-mode draws use numerators over a
-bounded denominator (default 1000) and then normalize, keeping all
-downstream arithmetic exact.
+reproduces the exact sample. Draws use numerators over a bounded
+denominator (default 1000) and then normalize, keeping all downstream
+arithmetic exact.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ def random_lottery(
         total = sum(draws)
         if total:
             break
-    if space.exact:
-        return Lottery._exact(space, tuple(draws), total)
-    return Lottery(space, tuple(d / total for d in draws))
+    return Lottery._exact(space, tuple(draws), total)
 
 
 def random_alpha(
@@ -39,10 +37,7 @@ def random_alpha(
 ):
     """A mixing weight in (0, 1] (or (0, 1) with ``include_one=False``)."""
     hi = max_denominator if include_one else max_denominator - 1
-    num = rng.randint(1, hi)
-    if space.exact:
-        return Fraction(num, max_denominator)
-    return num / max_denominator
+    return Fraction(rng.randint(1, hi), max_denominator)
 
 
 def random_utility(
@@ -59,9 +54,7 @@ def random_utility(
         if not nonconstant or space.size == 1 or len(set(nums)) > 1:
             break
     den = rng.randint(1, max_denominator)
-    if space.exact:
-        return new_utility(space, tuple(Fraction(n, den) for n in nums))
-    return new_utility(space, tuple(n / den for n in nums))
+    return new_utility(space, tuple(Fraction(n, den) for n in nums))
 
 
 def _triple(space, rng, max_denominator=DEFAULT_MAX_DENOMINATOR):

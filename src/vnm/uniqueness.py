@@ -10,6 +10,7 @@ exists; :func:`verify_affine` independently checks a claimed transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NotAffine, PreconditionViolated, RankMismatch, SpaceMismatch
 from .jsonio import number_to_json
@@ -33,7 +34,8 @@ class AffineTransform:
 
 
 def _checked_tol(u: UtilityFunction, v: UtilityFunction, tol):
-    # u and v must share a space; tol defaults to 0 in rational mode, 1e-9 in float mode
+    # u and v must share a space; tol defaults to 0 in rational mode and, as
+    # a reading rule for float inputs, to 1e-9 in float mode
     if u.space != v.space:
         raise SpaceMismatch("utilities must share one outcome space")
     return (0 if u.space.exact else 1e-9) if tol is None else tol
@@ -70,7 +72,7 @@ def recover_affine(u: UtilityFunction, v: UtilityFunction, tol=None) -> AffineTr
                 raise RankMismatch((labels[i], labels[j]))
 
     if u.is_constant():
-        transform = AffineTransform(u.space.one(), v.values[0] - u.values[0])
+        transform = AffineTransform(Fraction(1), v.values[0] - u.values[0])
     else:
         i_max = max(range(len(labels)), key=lambda i: (u.values[i], -i))
         i_min = min(range(len(labels)), key=lambda i: (u.values[i], i))
@@ -93,14 +95,15 @@ def verify_affine(
     """
     tol = _checked_tol(u, v, tol)
     gap, (label, expected, actual) = _residual_witness(u, v, transform)
+    mode = u.space.mode
 
     def test():
         if gap <= tol:
             return None
         return {
             "outcome": label,
-            "transformed": number_to_json(expected),
-            "target": number_to_json(actual),
+            "transformed": number_to_json(expected, mode),
+            "target": number_to_json(actual, mode),
         }
 
-    return run_check("affine", None, [()], test, details={"max_residual": number_to_json(gap)})
+    return run_check("affine", None, [()], test, details={"max_residual": number_to_json(gap, mode)})

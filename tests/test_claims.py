@@ -274,7 +274,7 @@ class TestClaimVBranches:
             "kind": "claim_v_analytic_gap",
             "alpha_hat": "1/4",
             "analytic_alpha": "1/2",
-            "tol": TOL,
+            "tol": "1/1000000000",
             **self.TRIPLE,
         }
 

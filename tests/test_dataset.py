@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from vnm import (
     dataset_to_json,
     degenerate,
     fit_reward_model,
-    lotteries_equal,
+    jsonio,
     mix,
     model_fits_data,
     model_from_json,
@@ -32,7 +31,7 @@ from vnm import (
     validate_dataset,
 )
 import vnm.dataset
-from vnm.dataset import FLOAT_EQUALITY_TOL, _canonical_ids, _find_cycles, _normalized_fits
+from vnm.dataset import _canonical_ids, _find_cycles
 from vnm.errors import Infeasible, PreconditionViolated, SpaceMismatch
 
 SPACE3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -96,13 +95,15 @@ class TestValidate:
         assert report.consistent
         assert report.distinct_lotteries == 2
 
-    def test_float_mode_buckets_near_equal_lotteries(self):
+    def test_float_mode_identity_is_exact(self):
+        # equal probabilities written apart are one node; a lottery 1e-15 away is another
         p = new_lottery(FSPACE2, (0.25, 0.75))
-        p2 = new_lottery(FSPACE2, (0.25 + 1e-15, 0.75 - 1e-15))
+        same = new_lottery(FSPACE2, ("1/4", "3/4"))
+        near = new_lottery(FSPACE2, (0.25 + 1e-15, 0.75 - 1e-15))
         q = new_lottery(FSPACE2, (0.75, 0.25))
-        assert lotteries_equal(p, p2)
-        report = validate_dataset(PrefDataset(FSPACE2, ((p, q), (q, p2))))
-        assert report.distinct_lotteries == 2
+        assert p.key == same.key != near.key
+        report = validate_dataset(PrefDataset(FSPACE2, ((p, q), (q, same), (q, near))))
+        assert report.distinct_lotteries == 3
         assert report.direct_contradictions == [(0, 1)]
 
     def test_space_mismatch_rejected(self):
@@ -231,19 +232,12 @@ class TestJson:
 
 def reference_ids(dataset):
     """The quadratic first-match grouping: each lottery joins the first
-    earlier representative within FLOAT_EQUALITY_TOL in every entry."""
+    earlier representative with exactly the same probabilities."""
     representatives, ids = [], []
     for pair in dataset.pairs:
         row = []
         for lot in pair:
-            node = next(
-                (
-                    k
-                    for k, rep in enumerate(representatives)
-                    if all(abs(a - b) <= FLOAT_EQUALITY_TOL for a, b in zip(lot.probs, rep.probs))
-                ),
-                None,
-            )
+            node = next((k for k, rep in enumerate(representatives) if lot.probs == rep.probs), None)
             if node is None:
                 node = len(representatives)
                 representatives.append(lot)
@@ -253,18 +247,18 @@ def reference_ids(dataset):
 
 
 FSPACE3 = OutcomeSpace(("a", "b", "c"), mode="float")
-CELL = 2 * FLOAT_EQUALITY_TOL
-# perturbations around the tolerance, in units of 1e-12
+# perturbations of up to three float-mode sum tolerances, in units of 1e-12
 STEPS = [sign * x for x in (0, 0.5, 1, 1.5, 2, 3) for sign in (1, -1)]
 
 
 @st.composite
 def near_duplicate_dataset(draw):
-    """Float lotteries whose first entries sit on cell boundaries, each copy
-    moved by 0 to 3 tolerances in its first two entries (the third absorbs it)."""
+    """Float lotteries, each copy of a base moved by 0 to 3e-12 in its first
+    two entries (the third absorbs it) and written as floats or as the
+    ``"n/d"`` strings of the same floats."""
     bases = []
     for _ in range(draw(st.integers(1, 4))):
-        first = draw(st.sampled_from([2, 3, 7, round(0.25 / CELL), round(0.5 / CELL)])) * CELL
+        first = draw(st.sampled_from([0.125, 0.25, 0.3, 0.5]))
         second = draw(st.sampled_from([0.125, 0.25, 0.375]))
         bases.append((first, second))
     lotteries = []
@@ -272,6 +266,8 @@ def near_duplicate_dataset(draw):
         first, second = draw(st.sampled_from(bases))
         d0, d1 = (draw(st.sampled_from(STEPS)) * 1e-12 for _ in range(2))
         probs = (first + d0, second + d1, (1 - first - second) - d0 - d1)
+        if draw(st.booleans()):
+            probs = tuple(str(Fraction(repr(x))) for x in probs)
         lotteries.append(new_lottery(FSPACE3, probs))
     index = st.integers(0, len(lotteries) - 1)
     pairs = [
@@ -282,7 +278,7 @@ def near_duplicate_dataset(draw):
 
 
 class TestFloatIdentity:
-    """Bucketed float identity against the quadratic first-match scan."""
+    """Float-mode identity is exact: the kept graph against a quadratic first-match scan."""
 
     @given(near_duplicate_dataset())
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -401,49 +397,61 @@ class TestValidateOnce:
         assert len(calls) == 1
 
 
+def reference_fits(model, data, margin):
+    """``model_fits_data``'s verdict and witness, computed on Fractions."""
+    mode, values = data.space.mode, model.utility.values
+    for index, (w, l) in enumerate(data.pairs):
+        eu_w = sum(p * v for p, v in zip(w.probs, values))
+        eu_l = sum(p * v for p, v in zip(l.probs, values))
+        if not eu_w - eu_l >= margin:
+            return False, {
+                "index": index,
+                "winner": jsonio.lottery_to_json(w),
+                "loser": jsonio.lottery_to_json(l),
+                "eu_winner": jsonio.number_to_json(eu_w, mode),
+                "eu_loser": jsonio.number_to_json(eu_l, mode),
+                "margin": jsonio.number_to_json(margin, mode),
+            }
+    return True, None
+
+
+def in_mode(data, mode):
+    """The same dataset read in ``mode``."""
+    return dataset_from_json(dataset_to_json(data), mode)
+
+
 @st.composite
-def weights_case(draw):
-    """A consistent rational dataset, int weights (constant ones too) and a margin."""
+def utility_case(draw):
+    """A consistent dataset in either mode, a utility (constant ones too) and a margin."""
     data, _, _ = draw(acyclic_rational_dataset())
+    data = in_mode(data, draw(st.sampled_from(["rational", "float"])))
     n = data.space.size
-    weights = draw(
+    values = draw(
         st.one_of(
             st.integers(-50, 50).map(lambda w: [w] * n),
-            st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+            st.lists(st.fractions(-50, 50, max_denominator=60), min_size=n, max_size=n),
         )
     )
     margin = draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 20), Fraction(-1, 20)]))
-    return data, weights, margin
+    return data, new_utility(data.space, values), margin
 
 
 class TestIntegerRecheck:
-    """The rational re-check on ints against ``model_fits_data`` on the normalised model."""
+    """``model_fits_data``, the fit's one re-check on ints, against a Fraction reference."""
 
-    @staticmethod
-    def expected(data, weights, margin):
-        lo, hi = min(weights), max(weights)
-        values = [0 if hi == lo else Fraction(w - lo, hi - lo) for w in weights]
-        model = RewardModel(new_utility(data.space, values))
-        return model_fits_data(model, data, margin).passed
-
-    @staticmethod
-    def ints(data):
-        den = math.lcm(*(lot.den for pair in data.pairs for lot in pair))
-        diffs = [
-            tuple(int((a - b) * den) for a, b in zip(w.probs, l.probs)) for w, l in data.pairs
-        ]
-        return diffs, den
-
-    @given(weights_case())
+    @given(utility_case())
     @settings(derandomize=True, max_examples=300, deadline=None)
-    def test_matches_model_fits_data(self, case):
-        data, weights, margin = case
-        diffs, den = self.ints(data)
-        assert _normalized_fits(weights, diffs, den, margin) == self.expected(data, weights, margin)
+    def test_matches_fraction_reference(self, case):
+        data, utility, margin = case
+        report = model_fits_data(RewardModel(utility), data, margin)
+        assert (report.passed, report.witness) == reference_fits(RewardModel(utility), data, margin)
 
     @pytest.mark.parametrize("margin, passes", [(Fraction(0), True), (Fraction(1, 20), False)])
     def test_constant_weights_are_the_zero_utility(self, margin, passes):
-        data = make([(deg("x1"), deg("x2")), (deg("x2"), deg("x3"))])
-        diffs, den = self.ints(data)
-        assert self.expected(data, [4, 4, 4], margin) is passes
-        assert _normalized_fits([4, 4, 4], diffs, den, margin) is passes
+        # constant perceptron weights normalise to the zero utility, whose EU gaps are all 0
+        for mode in ("rational", "float"):
+            data = in_mode(make([(deg("x1"), deg("x2")), (deg("x2"), deg("x3"))]), mode)
+            model = RewardModel(new_utility(data.space, (0, 0, 0)))
+            report = model_fits_data(model, data, margin)
+            assert (report.passed, report.witness) == reference_fits(model, data, margin)
+            assert report.passed is passes

@@ -2,8 +2,11 @@
 
 ``tests/golden/cli_stdout.json`` holds what each invocation below printed.
 A change that alters any report, its key order or an exit code fails here.
-To capture the file again from the ``vnm`` on ``sys.path``::
+To list the cases whose exit code or stdout differs from the file, without
+rewriting it, and to capture the file again, from the ``vnm`` on
+``sys.path``::
 
+    PYTHONPATH=src python tests/test_golden_cli.py --diff
     PYTHONPATH=src python tests/test_golden_cli.py
 
 Only stdout is compared: stderr carries bar charts and diagnostics that
@@ -15,9 +18,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -195,13 +200,69 @@ def test_cli_stdout_matches_golden(case, subs):
     assert _run(_cases()[case], subs) == _golden()[case]
 
 
-def capture() -> None:
+# an exact number as rational mode prints it: "n" or "n/d"
+EXACT = re.compile(r"-?\d+(/\d+)?")
+
+
+def _as_floats(value):
+    """``value`` with each ``"n"`` or ``"n/d"`` string read as its float."""
+    if isinstance(value, dict):
+        return {k: _as_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_floats(v) for v in value]
+    if isinstance(value, str) and EXACT.fullmatch(value):
+        return float(Fraction(value))
+    return value
+
+
+def _wire(entry) -> tuple:
+    """Exit code and parsed stdout without ``options``, numbers as floats."""
+    report = json.loads(entry["stdout"])
+    report.pop("options", None)
+    return entry["exit"], _as_floats(report)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c.removesuffix("-rational") for c in _cases() if c.endswith("-rational"))
+)
+def test_float_mode_prints_the_rational_report(case):
+    """Float mode is a wire format: the same exact run, printed as floats."""
+    golden = _golden()
+    assert _wire(golden[f"{case}-float"]) == _wire(golden[f"{case}-rational"])
+
+
+def _run_all() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         subs = _write_inputs(Path(tmp))
-        golden = {case: _run(argv, subs) for case, argv in sorted(_cases().items())}
+        return {case: _run(argv, subs) for case, argv in sorted(_cases().items())}
+
+
+def diff() -> list[str]:
+    """``case: exit, stdout`` for each case that differs from the file, naming what differs."""
+    golden, now = _golden(), _run_all()
+    lines = []
+    for case in sorted(golden.keys() | now.keys()):
+        old, new = golden.get(case), now.get(case)
+        if old is None or new is None:
+            lines.append(f"{case}: {'new' if old is None else 'gone'}")
+            continue
+        parts = [k for k in ("exit", "stdout") if old[k] != new[k]]
+        if parts:
+            lines.append(f"{case}: {', '.join(parts)}")
+    return lines
+
+
+def capture() -> None:
+    golden = _run_all()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        differs = diff()
+        print("\n".join(differs) or "no case differs")
+        sys.exit(1 if differs else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/test_golden_cli.py [--diff]")
     capture()

@@ -110,9 +110,11 @@ class TestConstruction:
             Lottery(s, (0.5, 0.51))
 
     def test_float_mode_support_threshold(self):
+        # float entries are read exactly, so any positive entry is in the support
         s = OutcomeSpace(("a", "b", "c"), FLOAT)
         p = Lottery(s, (1.0 - 1e-16, 1e-16, 0.0))
-        assert p.support() == ("a",)
+        assert p.probs == (Fraction("0.9999999999999999"), Fraction("1e-16"), 0)
+        assert p.support() == ("a", "b")
 
 
 class TestMix:
@@ -256,6 +258,16 @@ class TestJson:
         assert blob["probs"] == [0.25, 0.75]
         assert jsonio.lottery_from_json(blob, space=s) == p
 
+    def test_numbers_print_in_the_space_mode(self):
+        for value, rational, floating in [
+            (Fraction(7, 10), "7/10", 0.7),
+            (Fraction(-3), "-3", -3.0),
+            (Fraction(10**400, 3), f"{10**400}/3", math.inf),  # beyond the float range
+            (Fraction(-(10**400)), f"-{10**400}", -math.inf),
+        ]:
+            assert jsonio.number_to_json(value, RATIONAL) == rational
+            assert jsonio.number_to_json(value, FLOAT) == floating
+
     def test_lottery_space_mismatch_detected(self):
         blob = {"space": ["a", "b", "c"], "probs": ["1", "0", "0"]}
         with pytest.raises(ValueError):
@@ -350,12 +362,14 @@ class TestIntegerCore:
         assert p.nums == (2, 1, 1) and p.den == 4
 
     def test_exponent_bound_in_both_modes(self):
-        assert coerce_number(f"1e{MAX_EXPONENT}", RATIONAL) == 10**MAX_EXPONENT
-        assert coerce_number(f"1e-{MAX_EXPONENT}", FLOAT) == 0.0
-        for mode in (RATIONAL, FLOAT):
-            for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}", "1e999999999"):
+        assert coerce_number(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+        assert coerce_number(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+        for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}", "1e999999999"):
+            with pytest.raises(ValueError):
+                coerce_number(text)
+            for mode in (RATIONAL, FLOAT):
                 with pytest.raises(ValueError):
-                    coerce_number(text, mode)
+                    new_utility(OutcomeSpace(("a", "b"), mode), (text, 0))
 
 
 # ASCII, Arabic-Indic, Devanagari and fullwidth decimal digits: str.isdecimal,
@@ -384,40 +398,59 @@ def numeric_text(draw):
 class TestCoerceNumberParity:
     """Strings read as ``Fraction(s)`` reads them, or fail the same way."""
 
-    @given(numeric_text(), st.sampled_from([RATIONAL, FLOAT]))
+    @given(numeric_text())
     @settings(derandomize=True, max_examples=400, deadline=None)
-    def test_matches_fraction_parser(self, text, mode):
+    def test_matches_fraction_parser(self, text):
         try:
             expected = Fraction(text)
-            if mode == FLOAT:
-                expected = float(expected)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             with pytest.raises(ValueError) as err:
-                coerce_number(text, mode)
+                coerce_number(text)
             assert str(exc) in str(err.value)
             return
-        got = coerce_number(text, mode)
-        assert type(got) is type(expected) and got == expected
+        got = coerce_number(text)
+        assert type(got) is Fraction and got == expected
 
     @pytest.mark.parametrize("text", ["0/0", "7/0", "007/000"])
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     def test_zero_denominator_is_a_value_error(self, text, mode):
-        with pytest.raises(ValueError, match=r"cannot read .*Fraction\(\d+, 0\)"):
-            coerce_number(text, mode)
+        # the lottery reader of each mode leaves such a string to coerce_number
+        message = r"cannot read .*Fraction\(\d+, 0\)"
+        with pytest.raises(ValueError, match=message):
+            coerce_number(text)
+        with pytest.raises(ValueError, match=message):
+            new_lottery(OutcomeSpace(("a", "b"), mode), (text, "1"))
 
 
 def reference_lottery(space, probs):
-    """The two-step decode: coerce every entry, then the validating constructor."""
-    return Lottery(space, tuple(coerce_number(v, space.mode) for v in probs))
+    """The reading rule step by step on Fractions: read every entry, then
+    check the length, the first negative or non-finite entry and the sum."""
+    probs = [
+        v if isinstance(v, float) and not math.isfinite(v) else coerce_number(v) for v in probs
+    ]
+    if len(probs) != space.size:
+        raise LengthMismatch(space.size, len(probs))
+    for i, v in enumerate(probs):
+        if not 0 <= v < math.inf:
+            raise (NegativeProbability if v < 0 else NonFiniteProbability)(i, v)
+    total = sum(probs)
+    if total != 1 and (space.mode == RATIONAL or abs(total - 1) > Fraction(1, 10**12)):
+        raise SumNotOne(total)
+    probs = tuple(v / total for v in probs)
+    den = math.lcm(*(v.denominator for v in probs))
+    return tuple(v.numerator * (den // v.denominator) for v in probs), den, probs
 
 
 def decoded(build, space, probs):
-    """``(nums, den, probs, key)`` of the built lottery, or its error's type and message."""
+    """``(nums, den, probs)`` of the built lottery, or its error's type and message."""
     try:
         p = build(space, probs)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
-    return p.nums, p.den, p.probs, p.key
+    if isinstance(p, tuple):
+        return p
+    assert p.key == (p.nums, p.den)
+    return p.nums, p.den, p.probs
 
 
 # entries a caller or a JSON file may hand over, valid or not
@@ -467,13 +500,16 @@ def decode_case(draw):
 
 
 class TestDecodeParity:
-    """``new_lottery``'s one pass against coercing each entry, then ``Lottery``."""
+    """``new_lottery``'s one pass, and ``Lottery(space, probs)``, against the
+    reading rule applied step by step on Fractions."""
 
     @given(decode_case())
     @settings(derandomize=True, max_examples=500, deadline=None)
     def test_matches_two_step_reference(self, case):
         space, probs = case
-        assert decoded(new_lottery, space, probs) == decoded(reference_lottery, space, probs)
+        expected = decoded(reference_lottery, space, probs)
+        assert decoded(new_lottery, space, probs) == expected
+        assert decoded(Lottery, space, probs) == expected
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
     @pytest.mark.parametrize(
@@ -486,7 +522,7 @@ class TestDecodeParity:
             [float("nan"), "1", "0"],
             ["1/3", "1/3", "1/4"],  # a sum other than one
             ["1/0", "1", "0"],
-            ["1" * 400 + "/1", "0", "0"],  # too large for a float
+            ["1" * 400 + "/1", "0", "0"],  # read exactly in both modes, far from a sum of one
             [True, 0, 0],
             [None, 1, 0],
         ],
@@ -496,6 +532,56 @@ class TestDecodeParity:
         expected = decoded(reference_lottery, space, probs)
         assert isinstance(expected[0], type) and issubclass(expected[0], Exception)
         assert decoded(new_lottery, space, probs) == expected
+        assert decoded(Lottery, space, probs) == expected
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    def test_constructor_reads_like_new_lottery(self, mode):
+        space = OutcomeSpace(("a", "b"), mode)
+        assert Lottery(space, ("1/2", "1/2")) == new_lottery(space, ("1/2", "1/2"))
+        mixed = Lottery(space, (Fraction(1, 2), 0.5))
+        assert all(type(v) is Fraction for v in mixed.probs) and mixed.key == ((1, 1), 2)
+        with pytest.raises(ValueError, match="expected a number, got None"):
+            Lottery(space, (None, 1))
+
+
+class TestReadingRule:
+    """Float mode reads numbers exactly and divides out a sum within 1e-12 of one."""
+
+    @pytest.mark.parametrize("second", [0.500000000001, 0.499999999999, 0.5000000000005])
+    def test_float_sum_within_tolerance_is_divided_out(self, second):
+        for build in (new_lottery, Lottery):
+            p = build(OutcomeSpace(("a", "b"), FLOAT), (0.5, second))
+            total = Fraction("0.5") + Fraction(repr(second))
+            assert sum(p.probs) == 1
+            assert p.probs == (Fraction(1, 2) / total, Fraction(repr(second)) / total)
+
+    @pytest.mark.parametrize("second", [0.50000000001, 0.49999999999])
+    def test_float_sum_beyond_tolerance_is_rejected(self, second):
+        with pytest.raises(SumNotOne) as exc:
+            new_lottery(OutcomeSpace(("a", "b"), FLOAT), (0.5, second))
+        assert exc.value.actual_sum == Fraction("0.5") + Fraction(repr(second))
+
+    @pytest.mark.parametrize("second", [0.500000000001, 0.5000000000005])
+    def test_rational_sum_must_be_exactly_one(self, second):
+        for build in (new_lottery, Lottery):
+            with pytest.raises(SumNotOne):
+                build(OutcomeSpace(("a", "b"), RATIONAL), (0.5, second))
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ((float("nan"), 1.0), NonFiniteProbability),
+            ((0.0, float("inf")), NonFiniteProbability),
+            ((float("-inf"), 1.0), NegativeProbability),
+            ((1.25, -0.25), NegativeProbability),
+            ((Fraction(5, 4), Fraction(-1, 4)), NegativeProbability),
+        ],
+    )
+    def test_bad_entries_keep_their_error_type(self, probs, error, mode):
+        for build in (new_lottery, Lottery):
+            with pytest.raises(error):
+                build(OutcomeSpace(("a", "b"), mode), probs)
 
 
 class TestLotteryFromJsonSpace:
