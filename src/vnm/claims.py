@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterable
 
-from .elicitation import _bisect
+from .elicitation import DEFAULT_MAX_ITER, DEFAULT_TOL, _bisect
 from .errors import AlphaOutOfRange, NoConvergence, PreconditionViolated
 from .jsonio import lottery_to_json, number_to_json, triple_to_json
 from .lottery import Lottery, UtilityFunction, coerce_number, expected_utility, mix
@@ -166,8 +166,8 @@ def verify_claim_v(
     p: Lottery,
     q: Lottery,
     r: Lottery,
-    tol=1e-9,
-    max_iter: int = 200,
+    tol=DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Report:
     """Locate the unique weight with mix(p, r, a) ~ q and certify it.
 
@@ -222,8 +222,8 @@ def verify_claim_v(
 def check_claim_v(
     oracle: PreferenceOracle,
     triples: Iterable[tuple[Lottery, Lottery, Lottery]],
-    tol=1e-9,
-    max_iter: int = 200,
+    tol=DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Report:
     """Run :func:`verify_claim_v` on each sampled triple once strictly ordered.
 

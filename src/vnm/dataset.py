@@ -206,28 +206,43 @@ def validate_dataset(dataset: PrefDataset) -> ValidationReport:
     )
 
 
+def _shortfall(utility: UtilityFunction, margin: Fraction):
+    """``(winner, loser) pair -> None | Fraction``: how far it misses ``margin``.
+
+    On ints, with ``u = nums / den``, ``EU(w) - EU(l) >= margin`` is
+    ``(sw * l.den - sl * w.den) * margin.den >= margin.num * w.den * l.den * den``
+    where ``sw`` and ``sl`` are the int dot products with ``nums``. Only a
+    pair that falls short builds a ``Fraction``.
+    """
+    unums, uden = utility._ints
+    mnum, mden = margin.numerator, margin.denominator
+
+    def short(pair):
+        winner, loser = pair
+        sw = sum(map(operator.mul, winner.nums, unums))
+        sl = sum(map(operator.mul, loser.nums, unums))
+        scale = winner.den * loser.den * uden
+        miss = mnum * scale - (sw * loser.den - sl * winner.den) * mden
+        return None if miss <= 0 else Fraction(miss, mden * scale)
+
+    return short
+
+
 def model_fits_data(model: RewardModel, dataset: PrefDataset, margin=0) -> Report:
     """Every winner must beat its loser by at least ``margin`` in EU.
 
-    ``margin`` is read exactly. The EU gap of each pair is compared on ints:
-    with ``u = nums / den``, ``EU(w) - EU(l) >= margin`` is
-    ``(sw * l.den - sl * w.den) * margin.den >= margin.num * w.den * l.den * den``
-    where ``sw`` and ``sl`` are the int dot products with ``nums``. A
-    ``Fraction`` is built only for a witness.
+    ``margin`` is read exactly; :func:`_shortfall` tests each pair on ints.
     """
     if model.utility.space != dataset.space:
         raise SpaceMismatch()
     margin = coerce_number(margin)
     mode = dataset.space.mode
-    unums, uden = model.utility._ints
-    mnum, mden = margin.numerator, margin.denominator
+    short = _shortfall(model.utility, margin)
 
     def test(index, pair):
-        winner, loser = pair
-        sw = sum(map(operator.mul, winner.nums, unums))
-        sl = sum(map(operator.mul, loser.nums, unums))
-        if (sw * loser.den - sl * winner.den) * mden >= mnum * winner.den * loser.den * uden:
+        if short(pair) is None:
             return None
+        winner, loser = pair
         return {
             "index": index,
             "winner": lottery_to_json(winner),
@@ -323,14 +338,10 @@ def fit_reward_model(
             # normalization shrank the slack below the requested margin
             internal_margin = internal_margin * 2 if internal_margin > 0 else Fraction(1)
             bar = threshold(internal_margin)
-    candidate = normalized_model()
-    violations = []
-    for index, (winner, loser) in enumerate(dataset.pairs):
-        eu_w = expected_utility(winner, candidate.utility)
-        eu_l = expected_utility(loser, candidate.utility)
-        shortfall = (eu_l + margin) - eu_w
-        if shortfall > 0:
-            violations.append((shortfall, index))
+    short = _shortfall(normalized_model().utility, margin)
+    violations = [
+        (gap, index) for index, pair in enumerate(dataset.pairs) if (gap := short(pair)) is not None
+    ]
     violations.sort(key=lambda t: (-t[0], t[1]))
     worst = [
         {"index": index, "shortfall": number_to_json(shortfall, space.mode)}

@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoConvergence, PreconditionViolated, VNMError
-from .jsonio import lottery_to_json, number_to_json
+from .jsonio import lottery_to_json, number_to_json, utility_to_json
 from .lottery import (
     Lottery,
     UtilityFunction,
+    coerce_number,
     degenerate,
     expected_utility,
     mix,
@@ -58,7 +59,8 @@ def _bisect(
     tol,
     max_iter: int,
 ):
-    """Core bisection; returns (weight, iterations)."""
+    """Core bisection with ``tol`` read exactly; returns (weight, iterations)."""
+    tol = coerce_number(tol)
     c_top = compare(oracle, top, target)
     if c_top is Comparison.PREFER_SECOND:
         raise PreconditionViolated("bisection needs top weakly preferred to target")
@@ -75,9 +77,9 @@ def _bisect(
     # invariant: mix(top, bottom, hi) >= target >= mix(top, bottom, lo)
     lo, hi = Fraction(0), Fraction(1)
     iterations = 0
-    while iterations < max_iter:
-        if hi - lo <= tol:
-            return (lo + hi) / 2, iterations
+    while hi - lo > tol:
+        if iterations == max_iter:
+            raise NoConvergence(iterations, bracket=(lo, hi))
         mid = (lo + hi) / 2
         iterations += 1
         c = compare(oracle, mix(top, bottom, mid), target)
@@ -87,9 +89,7 @@ def _bisect(
             hi = mid
         else:
             lo = mid
-    if hi - lo <= tol:
-        return (lo + hi) / 2, iterations
-    raise NoConvergence(iterations, bracket=(lo, hi))
+    return (lo + hi) / 2, iterations
 
 
 def bisect_indifference(
@@ -140,12 +140,8 @@ class ElicitationResult:
             raise VNMError("all-indifferent elicitation must return the zero utility")
 
     def to_json(self) -> dict:
-        mode = self.utility.space.mode
         return {
-            "utility": {
-                x: number_to_json(v, mode)
-                for x, v in zip(self.utility.space.labels, self.utility.values)
-            },
+            "utility": utility_to_json(self.utility)["utility"],
             "best": self.best,
             "worst": self.worst,
             "all_indifferent": self.all_indifferent,
@@ -162,47 +158,32 @@ def elicit_utility(
 ) -> ElicitationResult:
     """Recover a normalized utility over sure outcomes from the oracle.
 
-    The best and worst outcomes get utilities 1 and 0 directly; every other
-    outcome is bisected between them. Costs O(size * log(1/tol))
-    comparisons in total.
+    The best and worst outcomes get utilities 1 and 0 directly (every
+    outcome gets 0 when all tie); every other outcome is bisected between
+    them. Costs O(size * log(1/tol)) comparisons in total.
     """
     space = oracle.space
     start = oracle.query_count
     best, worst, all_indifferent = find_extreme_degenerates(oracle)
+    d_best, d_worst = degenerate(space, best), degenerate(space, worst)
+    values = []
     per_queries: dict[str, int] = {}
     per_iters: dict[str, int] = {}
-    values = []
-    if all_indifferent:
-        values = [Fraction(0)] * space.size
-        per_queries = {x: 0 for x in space.labels}
-        per_iters = {x: 0 for x in space.labels}
-    else:
-        d_best = degenerate(space, best)
-        d_worst = degenerate(space, worst)
-        for label in space.labels:
-            if label == best:
-                values.append(Fraction(1))
-                per_queries[label] = 0
-                per_iters[label] = 0
-            elif label == worst:
-                values.append(Fraction(0))
-                per_queries[label] = 0
-                per_iters[label] = 0
-            else:
-                before = oracle.query_count
-                value, iters = _bisect(
-                    oracle, d_best, degenerate(space, label), d_worst, tol, max_iter
-                )
-                values.append(value)
-                per_queries[label] = (oracle.query_count - before) // 2
-                per_iters[label] = iters
-    total = (oracle.query_count - start) // 2
+    for label in space.labels:
+        before = oracle.query_count
+        if all_indifferent or label in (best, worst):
+            value, iters = Fraction(1 if label == best and not all_indifferent else 0), 0
+        else:
+            value, iters = _bisect(oracle, d_best, degenerate(space, label), d_worst, tol, max_iter)
+        values.append(value)
+        per_queries[label] = (oracle.query_count - before) // 2
+        per_iters[label] = iters
     return ElicitationResult(
         utility=UtilityFunction(space, tuple(values)),
         best=best,
         worst=worst,
         all_indifferent=all_indifferent,
-        queries=total,
+        queries=(oracle.query_count - start) // 2,
         per_outcome_queries=per_queries,
         per_outcome_iterations=per_iters,
     )
@@ -221,8 +202,10 @@ def verify_representation(
     within ``tol`` of each other cannot be adjudicated that way; they are
     counted in ``skipped`` and compared for oracle indifference instead, and
     disagreements are listed under ``details`` without affecting the verdict.
+    ``tol`` is read exactly.
     """
     details: dict = {}
+    tol = coerce_number(tol)
     mode = oracle.space.mode
 
     def test(index, pair):

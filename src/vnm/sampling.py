@@ -30,10 +30,7 @@ def random_lottery(
 
 
 def random_alpha(
-    space: OutcomeSpace,
-    rng: random.Random,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    include_one: bool = True,
+    rng: random.Random, max_denominator: int = DEFAULT_MAX_DENOMINATOR, include_one: bool = True
 ):
     """A mixing weight in (0, 1] (or (0, 1) with ``include_one=False``)."""
     hi = max_denominator if include_one else max_denominator - 1
@@ -77,12 +74,10 @@ def random_mix_tuples(
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ):
     """``count`` independent (p, q, r, alpha) tuples for independence checks."""
-    out = []
-    for _ in range(count):
-        p, q, r = _triple(space, rng, max_denominator)
-        a = random_alpha(space, rng, max_denominator, include_one=include_one)
-        out.append((p, q, r, a))
-    return out
+    return [
+        (*_triple(space, rng, max_denominator), random_alpha(rng, max_denominator, include_one))
+        for _ in range(count)
+    ]
 
 
 def random_claim_tuples(
@@ -95,7 +90,7 @@ def random_claim_tuples(
     out = []
     for _ in range(count):
         p, q, r = _triple(space, rng, max_denominator)
-        a = random_alpha(space, rng, max_denominator, include_one=False)
-        t = random_alpha(space, rng, max_denominator, include_one=True)
+        a = random_alpha(rng, max_denominator, include_one=False)
+        t = random_alpha(rng, max_denominator, include_one=True)
         out.append((p, q, r, a, a + (1 - a) * t))
     return out

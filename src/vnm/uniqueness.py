@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotAffine, PreconditionViolated, RankMismatch, SpaceMismatch
 from .jsonio import number_to_json
-from .lottery import UtilityFunction
+from .lottery import UtilityFunction, coerce_number
 from .preference import Report, run_check
 
 
@@ -34,11 +34,11 @@ class AffineTransform:
 
 
 def _checked_tol(u: UtilityFunction, v: UtilityFunction, tol):
-    # u and v must share a space; tol defaults to 0 in rational mode and, as
-    # a reading rule for float inputs, to 1e-9 in float mode
+    # u and v must share a space; tol is read exactly and defaults to 0 in
+    # rational mode and, as a reading rule for float inputs, to 1e-9 in float mode
     if u.space != v.space:
         raise SpaceMismatch("utilities must share one outcome space")
-    return (0 if u.space.exact else 1e-9) if tol is None else tol
+    return coerce_number((0 if u.space.exact else 1e-9) if tol is None else tol)
 
 
 def _residual_witness(u: UtilityFunction, v: UtilityFunction, t: AffineTransform):

@@ -81,7 +81,7 @@ def test_criterion_1_exact_lottery_algebra():
     # linearity, exactly: EU(mix) == a*EU(p) + (1-a)*EU(q)
     rng = random.Random(1)
     for _ in range(200):
-        a = sampling.random_alpha(SPACE3, rng)
+        a = sampling.random_alpha(rng)
         s = sampling.random_lottery(SPACE3, rng)
         t = sampling.random_lottery(SPACE3, rng)
         w = sampling.random_utility(SPACE3, rng)
@@ -174,7 +174,7 @@ def test_criterion_4_mixture_claims_and_unique_weight():
         if p.probs[0] == p.probs[1]:
             continue
         r = sampling.random_lottery(SPACE3, rng)
-        alpha = sampling.random_alpha(SPACE3, rng, include_one=False)
+        alpha = sampling.random_alpha(rng, include_one=False)
         tie_tuples.append((p, swap_first_two(p), r, alpha))
     tie_reports = {r.claim: r for r in verify_claims_i_to_iv(tie_oracle, tie_tuples)}
 

@@ -60,7 +60,7 @@ class TestClaimsOneToFour:
             p = sampling.random_lottery(SPACE3, rng)
             q = swapped_first_two(p)
             r = sampling.random_lottery(SPACE3, rng)
-            a = sampling.random_alpha(SPACE3, rng, include_one=False)
+            a = sampling.random_alpha(rng, include_one=False)
             tuples.append((p, q, r, a))
         reports = {r.claim: r for r in verify_claims_i_to_iv(o, tuples)}
         assert all(r.passed for r in reports.values())
@@ -85,7 +85,7 @@ class TestClaimsOneToFour:
         tuples = []
         for _ in range(40):
             p, r = sampling.random_lottery(SPACE3, rng), sampling.random_lottery(SPACE3, rng)
-            a = sampling.random_alpha(SPACE3, rng, include_one=False)
+            a = sampling.random_alpha(rng, include_one=False)
             tuples.append((p, swapped_first_two(p), r, a))
         reports = {r.claim: r for r in verify_claims_i_to_iv(o, tuples)}
         used = {c: r.queries_used for c, r in reports.items()}

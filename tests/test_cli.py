@@ -469,6 +469,7 @@ def test_huge_exponent_is_exit_two(value, mode, tmp_path, capsys):
         ("check-axioms", "--sample", "-3"),
         ("elicit", "--max-iter", "-1"),
         ("fit-model", "--max-epochs", "-5"),
+        ("check-axioms", "--tol", "0.5"),  # check-axioms uses no tolerance
     ],
 )
 def test_out_of_range_flag_is_usage_error(flags, tmp_path, city_files, capsys):
@@ -483,6 +484,21 @@ def test_out_of_range_flag_is_usage_error(flags, tmp_path, city_files, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert rest[0] in err
+
+
+def test_float_report_beyond_float_range_is_exit_two(tmp_path):
+    # beta = 10**400 has no float; strict JSON has no Infinity to print instead
+    u = write_json(tmp_path / "u.json", {"utility": {"a": "1e400", "b": "0"}})
+    v = write_json(tmp_path / "v.json", {"utility": {"a": "2e400", "b": "1e400"}})
+    result = run_cli("recover-affine", "--u", u, "--v", v, "--mode", "float")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "--mode rational" in result.stderr
+    result = run_cli("recover-affine", "--u", u, "--v", v, "--mode", "rational")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["beta"] == str(10**400)
 
 
 # JSON junk: wrong container types, null, bools, strings, NaN and huge numbers

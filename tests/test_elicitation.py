@@ -22,6 +22,7 @@ from vnm import (
     sampling,
     verify_representation,
 )
+from vnm.elicitation import _bisect
 from vnm.errors import NoConvergence, PreconditionViolated, VNMError
 
 SPACE3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -105,6 +106,14 @@ class TestBisection:
         with pytest.raises(NoConvergence) as exc:
             bisect_indifference(o, top, target, bottom, tol=0, max_iter=5)
         assert exc.value.iterations == 5
+        assert exc.value.bracket == (Fraction(11, 16), Fraction(23, 32))
+        # at the boundary: the bracket reaches width 1/32 on the fifth halving
+        tol = Fraction(1, 32)
+        assert _bisect(o, top, target, bottom, tol, 5) == (Fraction(45, 64), 5)
+        with pytest.raises(NoConvergence) as exc:
+            _bisect(o, top, target, bottom, tol, 4)
+        assert exc.value.iterations == 4
+        assert exc.value.bracket == (Fraction(11, 16), Fraction(3, 4))
 
 
 class TestElicit:
@@ -124,6 +133,8 @@ class TestElicit:
         assert result.all_indifferent
         assert result.utility.values == (0, 0, 0)
         assert result.queries == 2 * (SPACE3.size - 1) + 1
+        assert set(result.per_outcome_queries.values()) == {0}
+        assert set(result.per_outcome_iterations.values()) == {0}
 
     def test_query_counter_matches_oracle(self):
         o = UtilityOracle(new_utility(CITY, (3, "2.1", 0)))
@@ -204,6 +215,18 @@ class TestVerifyRepresentation:
         assert report.passed
         assert report.skipped == 1
         assert len(report.details["tie_disagreements"]) == 1
+
+    def test_default_tol_is_one_billionth_exactly(self):
+        # a gap just above 1/10**9 but below the binary float 1e-9 is no near tie
+        space = OutcomeSpace(("a", "b"))
+        u = new_utility(space, (1, 0))
+        e = Fraction(1, 10**9) + Fraction(1, 10**30)
+        p = new_lottery(space, (Fraction(1, 2) + e, Fraction(1, 2) - e))
+        q = new_lottery(space, (Fraction(1, 2), Fraction(1, 2)))
+        for kw in ({}, {"tol": Fraction(1, 10**9)}):
+            report = verify_representation(UtilityOracle(u), u, [(p, q)], **kw)
+            assert (report.checked, report.skipped) == (1, 0)
+            assert "tie_disagreements" not in report.details
 
     def test_exact_tie_agreement_counts_clean(self):
         u = new_utility(SPACE3, (1, 1, 0))

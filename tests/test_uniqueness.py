@@ -103,6 +103,16 @@ class TestRecover:
         assert t.alpha == pytest.approx(1.0)
         assert t.beta == pytest.approx(0.5)
 
+    def test_float_mode_default_tol_is_one_billionth_exactly(self):
+        # a residual just above 1/10**9 but below the binary float 1e-9
+        fspace = OutcomeSpace(("a", "b", "c"), mode="float")
+        e = Fraction(1, 10**9) + Fraction(1, 10**30)
+        u = new_utility(fspace, (0, Fraction(1, 2), 1))
+        v = new_utility(fspace, (0, Fraction(1, 2) + e, 1))
+        with pytest.raises(NotAffine):
+            recover_affine(u, v)
+        assert not verify_affine(u, v, AffineTransform(1, 0)).passed
+
 
 class TestRankingInvariance:
     def test_transformed_oracle_answers_identically(self):
